@@ -72,6 +72,10 @@ func run(out, errw io.Writer, args []string) int {
 		fmt.Fprintln(errw, err)
 		return 2
 	}
+	if *tasks < 1 {
+		fmt.Fprintf(errw, "-tasks %d: every benchmark needs at least one task\n", *tasks)
+		return 2
+	}
 	if *nodes < 1 {
 		fmt.Fprintf(errw, "-nodes %d: a cluster needs at least one node\n", *nodes)
 		return 2

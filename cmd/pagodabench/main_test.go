@@ -312,6 +312,24 @@ func TestSchemeFilterRestrictsSweep(t *testing.T) {
 	}
 }
 
+// TestRejectsNonPositiveTasks: -tasks 0 or a negative count exits 2 with a
+// message naming the flag instead of silently running the 2048-task default.
+func TestRejectsNonPositiveTasks(t *testing.T) {
+	for _, n := range []string{"0", "-5"} {
+		var out, errw strings.Builder
+		args := []string{"-exp", "fig5", "-tasks", n}
+		if code := run(&out, &errw, args); code != 2 {
+			t.Fatalf("run(%v) = %d, want 2 (stderr %q)", args, code, errw.String())
+		}
+		if !strings.Contains(errw.String(), "-tasks "+n) {
+			t.Errorf("stderr = %q, want mention of -tasks %s", errw.String(), n)
+		}
+		if out.Len() != 0 {
+			t.Errorf("rejected run wrote stdout %q", out.String())
+		}
+	}
+}
+
 // TestRejectsBadFleetFlags pins the flag-validation satellite: impossible
 // fleet shapes fail before any simulation runs, exit 2, with a message that
 // names the offending value.

@@ -431,17 +431,6 @@ func (f *Fleet) Finish(end sim.Time) {
 	}
 }
 
-// Views returns every managed node's conservation ledger in id order —
-// including retired nodes, which is what keeps routed = done + dropped
-// checkable across scale events.
-func (f *Fleet) Views() []cluster.NodeView {
-	out := make([]cluster.NodeView, len(f.nodes))
-	for i, m := range f.nodes {
-		out[i] = m.n.View()
-	}
-	return out
-}
-
 // Outcome is the autoscaler's run summary: the scale-event log, each node's
 // lifecycle span, and the cost ledger the cost-vs-SLO report prices.
 type Outcome struct {

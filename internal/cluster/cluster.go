@@ -1,6 +1,6 @@
-// Package cluster is the fleet layer over the single-device serving stack:
-// it models N GPUs (each with its own PCIe bus and execution-scheme instance)
-// behind one front-end dispatcher, all simulated on a single discrete-event
+// Package cluster is the front end of every serving run: it models N GPUs
+// (each with its own PCIe bus and execution-scheme instance; N = 1 for the
+// single-device open loop) behind one dispatcher, all simulated on a single discrete-event
 // engine sharing one virtual clock. One engine — not one per device — is the
 // load-bearing choice: every cross-node ordering question (which node was
 // shorter when task 41 arrived?) is resolved in deterministic virtual time,
@@ -9,12 +9,12 @@
 // resources needs to be measurable at all.
 //
 // The package deliberately knows nothing about Pagoda, HyperQ or GeMTC: a
-// node is anything implementing Node (internal/runners provides the three
-// scheme-backed implementations), a Policy picks a node per arrival from the
-// dispatcher-visible NodeViews, and per-node admission stays inside the node
-// (reusing serve.Policy), exactly where the single-device open-loop runners
-// consult it — which is what lets a 1-node fleet reproduce the single-device
-// serving numbers bit for bit.
+// node is anything implementing Node (internal/runners provides one node type
+// per scheme, its only serving implementation), a Policy picks a node per
+// arrival from the dispatcher-visible NodeViews, and per-node admission
+// stays inside the node (reusing serve.Policy) at the scheme's own
+// presentation point. A scheme's single-device open loop is a 1-node
+// round-robin fleet, so the two agree by construction.
 //
 // Determinism rules: the only pseudo-randomness is the explicitly seeded
 // xorshift behind PowerOfTwo (the randsource rule); policies break ties by
@@ -92,8 +92,7 @@ func CheckConservation(views []NodeView, offered int) error {
 
 // WaitUntil sleeps p to the arrival instant and returns the Submit timestamp
 // to record: the arrival time, clamped to the clock when the sleep target
-// rounds a float ulp past it, so Submit <= service start always holds. (Same
-// contract as the single-device open-loop runners.)
+// rounds a float ulp past it, so Submit <= service start always holds.
 func WaitUntil(p *sim.Proc, at sim.Time) sim.Time {
 	if at > p.Now() {
 		p.Sleep(at - p.Now())

@@ -35,14 +35,14 @@ func (f *fakeNode) Submit(p *sim.Proc, ti int) {
 	f.view.Done++
 }
 
-func fleet(n int) ([]*fakeNode, []Node) {
+func fleet(n int) ([]*fakeNode, Fleet) {
 	fakes := make([]*fakeNode, n)
 	nodes := make([]Node, n)
 	for i := range fakes {
 		fakes[i] = &fakeNode{name: string(rune('a' + i))}
 		nodes[i] = fakes[i]
 	}
-	return fakes, nodes
+	return fakes, Static(nodes)
 }
 
 func runDispatch(t *testing.T, d Dispatcher, n int) ([]serve.Record, []int) {
@@ -58,8 +58,8 @@ func runDispatch(t *testing.T, d Dispatcher, n int) ([]serve.Record, []int) {
 func TestDispatcherRoutesRoundRobinAtArrivalInstants(t *testing.T) {
 	const n = 9
 	arr := serve.FixedRate{Rate: 1e6}.Times(n)
-	fakes, nodes := fleet(3)
-	recs, nodeOf := runDispatch(t, Dispatcher{Arrivals: arr, Nodes: nodes}, n)
+	fakes, fl := fleet(3)
+	recs, nodeOf := runDispatch(t, Dispatcher{Arrivals: arr, Fleet: fl}, n)
 
 	for ti := 0; ti < n; ti++ {
 		if nodeOf[ti] != ti%3 {
@@ -90,9 +90,9 @@ func TestDispatcherRoutesRoundRobinAtArrivalInstants(t *testing.T) {
 func TestDispatcherLeastOutstandingAvoidsStuckNode(t *testing.T) {
 	const n = 12
 	arr := serve.FixedRate{Rate: 1e6}.Times(n)
-	fakes, nodes := fleet(2)
+	fakes, fl := fleet(2)
 	fakes[0].pending = n // node 0 never completes anything
-	_, nodeOf := runDispatch(t, Dispatcher{Arrivals: arr, Nodes: nodes, Policy: LeastOutstanding{}}, n)
+	_, nodeOf := runDispatch(t, Dispatcher{Arrivals: arr, Fleet: fl, Policy: LeastOutstanding{}}, n)
 
 	// First arrival ties (both idle) -> node 0; every later arrival must see
 	// node 0's outstanding pile and go to node 1.
@@ -110,8 +110,8 @@ func TestDispatcherClassesReachAffinity(t *testing.T) {
 	const n = 8
 	arr := serve.FixedRate{Rate: 1e6}.Times(n)
 	classes := []int{0, 1, 2, 3, 0, 1, 2, 3}
-	_, nodes := fleet(4)
-	_, nodeOf := runDispatch(t, Dispatcher{Arrivals: arr, Classes: classes, Nodes: nodes, Policy: ClassAffinity{}}, n)
+	_, fl := fleet(4)
+	_, nodeOf := runDispatch(t, Dispatcher{Arrivals: arr, Classes: classes, Fleet: fl, Policy: ClassAffinity{}}, n)
 	for ti, c := range classes {
 		if nodeOf[ti] != c {
 			t.Errorf("task %d class %d routed to node %d", ti, c, nodeOf[ti])
@@ -120,16 +120,17 @@ func TestDispatcherClassesReachAffinity(t *testing.T) {
 }
 
 func TestDispatcherValidate(t *testing.T) {
-	_, nodes := fleet(2)
+	_, fl := fleet(2)
 	cases := []struct {
 		name string
 		d    Dispatcher
 		n    int
 	}{
-		{"no nodes", Dispatcher{Arrivals: []sim.Time{1}}, 1},
-		{"arrival count", Dispatcher{Arrivals: []sim.Time{1}, Nodes: nodes}, 2},
-		{"decreasing", Dispatcher{Arrivals: []sim.Time{2, 1}, Nodes: nodes}, 2},
-		{"classes len", Dispatcher{Arrivals: []sim.Time{1, 2}, Classes: []int{0}, Nodes: nodes}, 2},
+		{"no fleet", Dispatcher{Arrivals: []sim.Time{1}}, 1},
+		{"no nodes", Dispatcher{Arrivals: []sim.Time{1}, Fleet: Static(nil)}, 1},
+		{"arrival count", Dispatcher{Arrivals: []sim.Time{1}, Fleet: fl}, 2},
+		{"decreasing", Dispatcher{Arrivals: []sim.Time{2, 1}, Fleet: fl}, 2},
+		{"classes len", Dispatcher{Arrivals: []sim.Time{1, 2}, Classes: []int{0}, Fleet: fl}, 2},
 	}
 	for _, c := range cases {
 		func() {

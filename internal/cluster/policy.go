@@ -25,8 +25,8 @@ type Policy interface {
 }
 
 // RoundRobin cycles through the nodes in index order regardless of their
-// state — the baseline that needs no feedback signal, and the policy under
-// which a 1-node fleet reproduces the single-device serving path.
+// state — the baseline that needs no feedback signal, and the policy the
+// single-device open loop runs its one node under.
 type RoundRobin struct{ next int }
 
 // NewRoundRobin returns a cursor starting at node 0.

@@ -1,11 +1,6 @@
 package cuda
 
-import (
-	"testing"
-
-	"repro/internal/gpu"
-	"repro/internal/sim"
-)
+import "testing"
 
 func TestMallocFree(t *testing.T) {
 	_, ctx := newCtx(1)
@@ -82,54 +77,4 @@ func TestDoubleFree(t *testing.T) {
 	if err := ctx.Free(p); err == nil {
 		t.Fatal("double free succeeded")
 	}
-}
-
-func TestEventTimesKernel(t *testing.T) {
-	eng, ctx := newCtx(1)
-	var elapsed sim.Time
-	eng.Spawn("host", func(p *sim.Proc) {
-		s := ctx.NewStream()
-		start, end := ctx.NewEvent(), ctx.NewEvent()
-		start.Record(p, s)
-		s.Launch(p, gpu.LaunchSpec{Name: "k", GridDim: 1, BlockThreads: 32,
-			Fn: func(c *gpu.Ctx) { c.Compute(10000) }})
-		end.Record(p, s)
-		end.Synchronize(p)
-		if !start.Fired() || !end.Fired() {
-			t.Error("events did not fire")
-		}
-		elapsed = ElapsedTime(start, end)
-	})
-	eng.Run()
-	// The kernel's 10000 compute cycles plus launch overhead.
-	if elapsed < 10000 || elapsed > 30000 {
-		t.Fatalf("ElapsedTime = %v, want ~10000 + overheads", elapsed)
-	}
-}
-
-func TestEventSynchronizeUnrecorded(t *testing.T) {
-	eng, ctx := newCtx(1)
-	eng.Spawn("host", func(p *sim.Proc) {
-		e := ctx.NewEvent()
-		e.Synchronize(p) // must not block
-		if eng.Now() != 0 {
-			t.Errorf("Synchronize on unrecorded event advanced time")
-		}
-	})
-	eng.Run()
-}
-
-func TestEventOrderingAcrossCommands(t *testing.T) {
-	eng, ctx := newCtx(1)
-	eng.Spawn("host", func(p *sim.Proc) {
-		s := ctx.NewStream()
-		e := ctx.NewEvent()
-		s.MemcpyH2D(p, 1<<20, nil) // ~95 us on the bus
-		e.Record(p, s)
-		e.Synchronize(p)
-		if eng.Now() < ctx.Bus.MinTransferTime(1<<20) {
-			t.Fatalf("event fired at %v, before the preceding copy could finish", eng.Now())
-		}
-	})
-	eng.Run()
 }

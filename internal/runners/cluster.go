@@ -5,10 +5,6 @@ import (
 
 	"repro/internal/autoscale"
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/cuda"
-	"repro/internal/gpu"
-	"repro/internal/pcie"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -19,10 +15,9 @@ import (
 // (each with its own PCIe bus and scheme instance) share one engine and one
 // virtual clock, a front-end dispatcher consumes the arrival stream, and a
 // cluster.Policy routes each task to a node. Per-node admission reuses the
-// serve.Policy shape and is consulted exactly where the single-device runner
-// consults it — at the scheme's spawn point for Pagoda/HyperQ, at arrival
-// for GeMTC — so a 1-node round-robin fleet reproduces the single-device
-// records bit for bit (pinned by TestClusterOneNodeMatchesOpenLoop).
+// serve.Policy shape and is consulted at the scheme's own presentation point
+// — at the spawn point for Pagoda/HyperQ, at arrival for GeMTC. The open
+// loop is this driver on one round-robin node.
 type ClusterOpenLoop struct {
 	// Arrivals holds one nondecreasing virtual-cycle instant per task.
 	Arrivals []sim.Time
@@ -66,9 +61,9 @@ type ClusterOpenLoop struct {
 }
 
 // normalize folds a disabled scaler into the fixed-fleet shape: Min == Max
-// means a fleet that can never scale, which is exactly Nodes = Min on the
-// original dispatcher — the delegation that makes "autoscaling off"
-// reproduce fixed-fleet records bit for bit.
+// means a fleet that can never scale, which is exactly Nodes = Min on a
+// static fleet — the delegation that makes "autoscaling off" reproduce
+// fixed-fleet records bit for bit.
 func (co ClusterOpenLoop) normalize() ClusterOpenLoop {
 	if co.Scaler != nil && !co.Scaler.Enabled() {
 		co.Nodes = co.Scaler.Min
@@ -130,9 +125,10 @@ func nodeTrack(node int, scheme string) string {
 	return fmt.Sprintf("node%02d/serve-%s", node, scheme)
 }
 
-// addClusterServeSpans exports one node's wait/service decomposition onto
-// its own track, spans named by global task index (deterministic order).
-func addClusterServeSpans(tr *trace.Tracer, track string, recs []serve.Record, nodeOf []int, node int) {
+// addServeSpans exports one node's wait/service decomposition onto track:
+// two spans per completed task routed to node, named by global task index
+// (deterministic order).
+func addServeSpans(tr *trace.Tracer, track string, recs []serve.Record, nodeOf []int, node int) {
 	if !tr.Enabled() {
 		return
 	}
@@ -147,73 +143,110 @@ func addClusterServeSpans(tr *trace.Tracer, track string, recs []serve.Record, n
 	}
 }
 
-// elasticNode is the contract a scheme-backed node offers the shared elastic
-// fleet engine beyond cluster.Node: access to the embedded ledger base (for
-// hooking admission and completion) and its device metrics at the run's end.
-type elasticNode interface {
+// node is one scheme instance behind the dispatcher — the only serving
+// implementation of each scheme. Beyond cluster.Node it exposes the embedded
+// ledger base (so the driver can install admission and completion hooks)
+// and its device metrics at the run's end.
+type node interface {
 	cluster.Node
 	base() *nodeBase
 	devMetrics(end sim.Time) (occupancy, issueUtil float64)
 }
 
-// runElasticCluster is the shared elastic fleet engine behind every scheme's
-// autoscaled cluster path: an autoscale.Fleet manages nodes built on demand
-// by mk, an ElasticDispatcher routes each arrival over the currently
-// dispatchable subset, and a controller process steps the lifecycle (warm-up
-// promotion, drain retirement, scale decisions) at the scaler's interval.
-// Scale-out provisions a node whose engine processes spawn mid-run — legal
-// on the event engine, same mechanism as HyperQ's waiter procs — and
-// scale-in reuses Node.Close, so draining is the scheme's own drain path.
-func runElasticCluster(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config,
-	scheme string, mk func(eng *sim.Engine, name string, recs []serve.Record) elasticNode) (Result, ClusterRun) {
+// newNodeFunc builds one scheme node named name on the shared engine: a
+// device, bus and context plus the scheme's host processes. The node reads
+// tasks and stamps Start/Done/Dropped into recs.
+type newNodeFunc func(eng *sim.Engine, name string, tasks []workloads.TaskDef, recs []serve.Record, cfg Config) node
+
+// runFleet is the one serving driver behind every scheme's RunOpenLoop and
+// RunCluster. It builds nodes either up front (a fixed fleet of co.Nodes) or
+// on demand (an autoscale.Fleet stepped by a controller process at the
+// scaler's interval), routes every arrival through one cluster.Dispatcher,
+// and assembles Result and ClusterRun from the records and nodes. Scale-out
+// provisions a node whose engine processes spawn mid-run — legal on the
+// event engine, same mechanism as HyperQ's waiter procs — and scale-in
+// reuses Node.Close, so draining is the scheme's own drain path.
+func runFleet(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config,
+	scheme string, newNode newNodeFunc) (Result, ClusterRun) {
+	co = co.normalize()
 	eng := sim.New()
 	recs := make([]serve.Record, len(tasks))
-	var elastics []elasticNode
-	var fleet *autoscale.Fleet
-	fleet, err := autoscale.NewFleet(eng, *co.Scaler, func(id int) cluster.Node {
-		n := mk(eng, fmt.Sprintf("node%02d", id), recs)
+	var nodes []node
+	build := func(id int) node {
+		n := newNode(eng, fmt.Sprintf("node%02d", id), tasks, recs, cfg)
 		b := n.base()
+		b.admit = co.nodeAdmit()
 		b.admitTask = co.AdmitTask
-		// Completions feed the scaler's rolling-p99 signal; recs[ti] is fully
-		// stamped before noteDone fires (the noteDone contract).
-		b.onDone = func(ti int) { fleet.NoteLatency(recs[ti].Done - recs[ti].Submit) }
-		elastics = append(elastics, n)
+		nodes = append(nodes, n)
 		return n
-	})
-	if err != nil {
-		panic(fmt.Sprintf("runners: %v", err))
 	}
-	eng.Spawn("autoscaler", func(p *sim.Proc) {
-		for !fleet.Closed() {
-			p.Sleep(fleet.Interval())
-			fleet.Step(p.Now())
+
+	var fleet cluster.Fleet
+	var elastic *autoscale.Fleet
+	if co.Scaler.Enabled() {
+		var err error
+		elastic, err = autoscale.NewFleet(eng, *co.Scaler, func(id int) cluster.Node {
+			n := build(id)
+			// Completions feed the scaler's rolling-p99 signal; recs[ti] is
+			// fully stamped before noteDone fires (the noteDone contract).
+			n.base().onDone = func(ti int) { elastic.NoteLatency(recs[ti].Done - recs[ti].Submit) }
+			return n
+		})
+		if err != nil {
+			panic(fmt.Sprintf("runners: %v", err))
 		}
-	})
+		eng.Spawn("autoscaler", func(p *sim.Proc) {
+			for !elastic.Closed() {
+				p.Sleep(elastic.Interval())
+				elastic.Step(p.Now())
+			}
+		})
+		fleet = elastic
+	} else {
+		static := make([]cluster.Node, co.nodes())
+		for i := range static {
+			static[i] = build(i)
+		}
+		fleet = cluster.Static(static)
+	}
+
 	nodeOf := make([]int, len(tasks))
-	cluster.ElasticDispatcher{Arrivals: co.Arrivals, Classes: co.Classes, Policy: co.Policy, Fleet: fleet}.
+	cluster.Dispatcher{Arrivals: co.Arrivals, Classes: co.Classes, Policy: co.Policy, Fleet: fleet}.
 		Spawn(eng, recs, nodeOf)
 	end := eng.Run()
-	fleet.Finish(end)
 
-	res := openLoopResult(end, recs)
-	cr := ClusterRun{Recs: recs, NodeOf: nodeOf, Views: fleet.Views(),
-		Names: make([]string, len(elastics))}
+	lats := make([]sim.Time, 0, len(recs))
+	for _, r := range recs {
+		if !r.Dropped {
+			lats = append(lats, r.Latency())
+		}
+	}
+	res := Result{Elapsed: end, Tasks: len(lats)}
+	res.fillLatencies(lats)
+	// Views cover every node ever built, retired ones included, which keeps
+	// routed = done + dropped checkable across scale events.
+	cr := ClusterRun{Recs: recs, NodeOf: nodeOf,
+		Views: make([]cluster.NodeView, len(nodes)), Names: make([]string, len(nodes))}
 	var occ, iu float64
-	for i, n := range elastics {
+	for i, n := range nodes {
+		cr.Views[i] = n.View()
 		cr.Names[i] = nodeTrack(i, scheme)
 		o, u := n.devMetrics(end)
 		occ += o
 		iu += u
-		addClusterServeSpans(co.Trace, cr.Names[i], recs, nodeOf, i)
+		addServeSpans(co.Trace, cr.Names[i], recs, nodeOf, i)
 	}
-	res.Occupancy = occ / float64(len(elastics))
-	res.IssueUtil = iu / float64(len(elastics))
-	out := fleet.Outcome()
-	cr.Scale = &out
+	res.Occupancy = occ / float64(len(nodes))
+	res.IssueUtil = iu / float64(len(nodes))
+	if elastic != nil {
+		elastic.Finish(end)
+		out := elastic.Outcome()
+		cr.Scale = &out
+	}
 	return res, cr
 }
 
-// nodeBase carries the accounting and admission state every backend shares.
+// nodeBase carries the accounting and admission state every node shares.
 // All fields are touched only under the engine baton.
 type nodeBase struct {
 	name      string
@@ -231,7 +264,7 @@ func (n *nodeBase) View() cluster.NodeView { return n.view }
 func (n *nodeBase) base() *nodeBase        { return n }
 
 // admitNow consults the fleet-wide task-aware layer first, then the node's
-// own policy — the same precedence OpenLoop.admit applies on one device.
+// own policy, with the node-local in-flight count.
 func (n *nodeBase) admitNow(ti int, t sim.Time) bool {
 	if n.admitTask != nil {
 		return n.admitTask(ti, t, n.admitted-n.completed)
@@ -239,8 +272,8 @@ func (n *nodeBase) admitNow(ti int, t sim.Time) bool {
 	return n.admit == nil || n.admit(t, n.admitted-n.completed)
 }
 
-// noteDone records one task completion in the ledger; the scheme backend
-// must have stamped recs[ti].Done first, so the hook sees final records.
+// noteDone records one task completion in the ledger; the scheme node must
+// have stamped recs[ti].Done first, so the hook sees final records.
 func (n *nodeBase) noteDone(ti int) {
 	n.completed++
 	n.view.Done++
@@ -249,575 +282,27 @@ func (n *nodeBase) noteDone(ti int) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Pagoda backend
-
-// pagodaNode is one Pagoda runtime behind the dispatcher. Its feeder procs
-// play the single-device runner's spawner threads: tasks are dealt to
-// feeders round-robin in routing order (the fleet analogue of
-// splitRoundRobin), each feeder spawns continuously through its own stream,
-// and the last feeder to drain shuts the runtime down.
-type pagodaNode struct {
-	nodeBase
-	sys     *system
-	rt      *core.Runtime
-	recs    []serve.Record
-	tasks   []workloads.TaskDef
-	cfg     Config
-	queues  [][]int      // per-feeder FIFO, dealt by routing order
-	more    []sim.Signal // one wake signal per feeder
-	streams []*cuda.Stream
-
-	idxOf      map[core.TaskID]int
-	outBytes   map[core.TaskID]int
-	finished   int
-	allSpawned bool
+// fifo is a node's host-side task-index queue. Popping advances a head
+// index instead of reslicing, and a drained queue rewinds onto its own
+// backing array, so a queue that keeps emptying under light load stops
+// reallocating on every push.
+type fifo struct {
+	buf  []int
+	head int
 }
 
-func newPagodaNode(eng *sim.Engine, name string, tasks []workloads.TaskDef,
-	recs []serve.Record, admit func(sim.Time, int) bool, cfg Config) *pagodaNode {
-	n := &pagodaNode{
-		nodeBase: nodeBase{name: name, admit: admit},
-		sys:      newSystemOn(eng, cfg),
-		recs:     recs,
-		tasks:    tasks,
-		cfg:      cfg,
-		idxOf:    map[core.TaskID]int{},
-		outBytes: map[core.TaskID]int{},
-	}
-	n.rt = core.NewRuntime(n.sys.ctx, core.DefaultConfig())
-	n.rt.OnTaskDone = func(id core.TaskID, _, sched, end sim.Time) {
-		ti, ok := n.idxOf[id]
-		if !ok {
-			return
-		}
-		delete(n.idxOf, id)
-		n.recs[ti].Start = sched
-		n.recs[ti].Done = end
-		n.noteDone(ti)
-	}
+func (q *fifo) push(ti int) { q.buf = append(q.buf, ti) }
+func (q *fifo) len() int    { return len(q.buf) - q.head }
 
-	if cfg.CopyData {
-		n.rt.OnHostObservedDone = func(id core.TaskID) {
-			if b := n.outBytes[id]; b > 0 {
-				delete(n.outBytes, id)
-				n.sys.bus.TransferAsync(pcie.DeviceToHost, b, nil)
-			}
-		}
-		eng.Spawn(name+"-collector", func(p *sim.Proc) {
-			for {
-				p.Sleep(64_000) // 64 us polling cadence, as in the single-device runner
-				if n.allSpawned && len(n.outBytes) == 0 {
-					return
-				}
-				n.rt.PollCompletions(p)
-			}
-		})
+// take removes and returns the oldest k queued indexes. The returned slice
+// aliases the queue's storage and is valid only until the next push.
+func (q *fifo) take(k int) []int {
+	out := q.buf[q.head : q.head+k]
+	q.head += k
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
 	}
-
-	spawners := cfg.Spawners
-	if spawners <= 0 {
-		spawners = 1
-	}
-	n.queues = make([][]int, spawners)
-	n.more = make([]sim.Signal, spawners)
-	n.streams = make([]*cuda.Stream, spawners)
-	for f := 0; f < spawners; f++ {
-		f := f
-		n.streams[f] = n.sys.ctx.NewStream()
-		eng.Spawn(fmt.Sprintf("%s-feeder%d", name, f), func(p *sim.Proc) { n.feed(p, f) })
-	}
-	return n
+	return out
 }
 
-func (n *pagodaNode) Submit(_ *sim.Proc, ti int) {
-	f := n.view.Routed % len(n.queues)
-	n.view.Routed++
-	n.queues[f] = append(n.queues[f], ti)
-	n.more[f].Broadcast()
-}
-
-func (n *pagodaNode) Close() {
-	n.closed = true
-	for f := range n.more {
-		n.more[f].Broadcast()
-	}
-}
-
-func (n *pagodaNode) feed(p *sim.Proc, f int) {
-	for {
-		for len(n.queues[f]) == 0 && !n.closed {
-			n.more[f].Wait(p)
-		}
-		if len(n.queues[f]) == 0 {
-			break
-		}
-		ti := n.queues[f][0]
-		n.queues[f] = n.queues[f][1:]
-		td := &n.tasks[ti]
-		if !n.admitNow(ti, p.Now()) {
-			n.recs[ti].Dropped = true
-			n.view.Dropped++
-			continue
-		}
-		n.admitted++
-		n.view.Started++
-		if n.cfg.CopyData && td.InBytes > 0 {
-			n.streams[f].MemcpyH2DPipelined(p, td.InBytes, nil)
-		}
-		id := n.rt.TaskSpawn(p, core.TaskSpec{
-			Threads:   td.Threads,
-			Blocks:    td.Blocks,
-			SharedMem: td.SharedMem,
-			Sync:      td.Sync,
-			ArgBytes:  td.ArgBytes,
-			Kernel:    func(tc *core.TaskCtx) { td.Kernel(tc) },
-		})
-		n.idxOf[id] = ti
-		if n.cfg.CopyData && td.OutBytes > 0 {
-			n.outBytes[id] = td.OutBytes
-		}
-	}
-	n.finished++
-	if n.finished < len(n.queues) {
-		return
-	}
-	// The last feeder to finish drains the node.
-	n.allSpawned = true
-	n.rt.WaitAll(p)
-	for _, st := range n.streams {
-		st.Sync(p)
-	}
-	n.rt.Shutdown(p)
-}
-
-func (n *pagodaNode) devMetrics(end sim.Time) (float64, float64) {
-	return n.rt.TaskWarpOccupancy(end), n.sys.dev.Metrics().IssueUtil
-}
-
-// RunPagodaCluster executes timed arrivals on a Pagoda fleet. Per-task Start
-// is the instant the owning node's scheduler warp picked the task up and
-// Done its device-side completion, exactly as in RunPagodaOpenLoop.
-func RunPagodaCluster(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config) (Result, ClusterRun) {
-	co = co.normalize()
-	if co.Scaler.Enabled() {
-		return runElasticCluster(tasks, co, cfg, "pagoda",
-			func(eng *sim.Engine, name string, recs []serve.Record) elasticNode {
-				return newPagodaNode(eng, name, tasks, recs, co.nodeAdmit(), cfg)
-			})
-	}
-	eng := sim.New()
-	recs := make([]serve.Record, len(tasks))
-	nodes := make([]*pagodaNode, co.nodes())
-	fleet := make([]cluster.Node, len(nodes))
-	for i := range nodes {
-		nodes[i] = newPagodaNode(eng, fmt.Sprintf("node%02d", i), tasks, recs, co.nodeAdmit(), cfg)
-		nodes[i].admitTask = co.AdmitTask
-		fleet[i] = nodes[i]
-	}
-	nodeOf := make([]int, len(tasks))
-	cluster.Dispatcher{Arrivals: co.Arrivals, Classes: co.Classes, Policy: co.Policy, Nodes: fleet}.
-		Spawn(eng, recs, nodeOf)
-	end := eng.Run()
-
-	res := openLoopResult(end, recs)
-	cr := ClusterRun{Recs: recs, NodeOf: nodeOf,
-		Views: make([]cluster.NodeView, len(nodes)), Names: make([]string, len(nodes))}
-	var occ, iu float64
-	for i, n := range nodes {
-		cr.Views[i] = n.View()
-		cr.Names[i] = nodeTrack(i, "pagoda")
-		occ += n.rt.TaskWarpOccupancy(end)
-		iu += n.sys.dev.Metrics().IssueUtil
-		addClusterServeSpans(co.Trace, cr.Names[i], recs, nodeOf, i)
-	}
-	res.Occupancy = occ / float64(len(nodes))
-	res.IssueUtil = iu / float64(len(nodes))
-	return res, cr
-}
-
-// ---------------------------------------------------------------------------
-// HyperQ backend
-
-// hyperqNode is one 32-stream HyperQ device behind the dispatcher. Its
-// single feeder proc plays the single-device runner's host thread: tasks
-// launch in routing order, each on the stream picked by its node-local
-// sequence number (the fleet analogue of streams[ti%32] — dropped tasks
-// still consume a sequence slot, preserving the single-device pattern).
-type hyperqNode struct {
-	nodeBase
-	eng     *sim.Engine
-	sys     *system
-	recs    []serve.Record
-	tasks   []workloads.TaskDef
-	cfg     Config
-	streams []*cuda.Stream
-	queue   []int
-	seq     int // node-local arrival sequence, advanced per pop
-	more    sim.Signal
-	doneSig sim.Signal
-	endAt   sim.Time // instant this node drained (streams synced)
-}
-
-const hyperqNodeStreams = 32
-
-// newKernelPerTaskNode builds one kernel-per-task node: a static device for
-// HyperQ (zero Oversub), a virtualized one for zorua.
-func newKernelPerTaskNode(eng *sim.Engine, name string, tasks []workloads.TaskDef,
-	recs []serve.Record, admit func(sim.Time, int) bool, cfg Config, ov gpu.Oversub) *hyperqNode {
-	n := &hyperqNode{
-		nodeBase: nodeBase{name: name, admit: admit},
-		eng:      eng,
-		recs:     recs,
-		tasks:    tasks,
-		cfg:      cfg,
-		streams:  make([]*cuda.Stream, hyperqNodeStreams),
-	}
-	n.sys = newSystemOn(eng, cfg)
-	if ov.Enabled() {
-		n.sys.dev.Virtualize(ov)
-	}
-	for i := range n.streams {
-		n.streams[i] = n.sys.ctx.NewStream()
-	}
-	eng.Spawn(name+"-host", n.host)
-	return n
-}
-
-func (n *hyperqNode) Submit(_ *sim.Proc, ti int) {
-	n.view.Routed++
-	n.queue = append(n.queue, ti)
-	n.more.Broadcast()
-}
-
-func (n *hyperqNode) Close() {
-	n.closed = true
-	n.more.Broadcast()
-}
-
-func (n *hyperqNode) finish(ti int) {
-	n.recs[ti].Done = n.eng.Now()
-	n.noteDone(ti)
-	n.doneSig.Broadcast()
-}
-
-func (n *hyperqNode) host(p *sim.Proc) {
-	for {
-		for len(n.queue) == 0 && !n.closed {
-			n.more.Wait(p)
-		}
-		if len(n.queue) == 0 {
-			break
-		}
-		ti := n.queue[0]
-		n.queue = n.queue[1:]
-		seq := n.seq
-		n.seq++
-		td := &n.tasks[ti]
-		if !n.admitNow(ti, p.Now()) {
-			n.recs[ti].Dropped = true
-			n.view.Dropped++
-			continue
-		}
-		n.admitted++
-		n.view.Started++
-		stream := n.streams[seq%hyperqNodeStreams]
-		if n.cfg.CopyData && td.InBytes > 0 {
-			stream.MemcpyH2D(p, td.InBytes, nil)
-		}
-		h := stream.LaunchHooked(p, hyperqSpec(td), func() {
-			n.recs[ti].Start = n.eng.Now()
-		})
-		if n.cfg.CopyData && td.OutBytes > 0 {
-			// The output copy sits right behind its kernel in the stream FIFO;
-			// its delivery is the task's completion.
-			stream.MemcpyD2H(p, td.OutBytes, func() { n.finish(ti) })
-		} else {
-			// No output copy: completion is the kernel's own end, observed by
-			// a waiter process.
-			n.eng.Spawn(fmt.Sprintf("%s-wait%d", n.name, ti), func(wp *sim.Proc) {
-				h.Wait(wp)
-				n.finish(ti)
-			})
-		}
-	}
-	for n.completed < n.admitted {
-		n.doneSig.Wait(p)
-	}
-	for _, st := range n.streams {
-		st.Sync(p)
-	}
-	n.endAt = n.eng.Now()
-}
-
-// RunHyperQCluster executes timed arrivals on a HyperQ fleet: each admitted
-// task runs as its own kernel over the owning node's 32 streams. Start/Done
-// semantics match RunHyperQOpenLoop.
-func RunHyperQCluster(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config) (Result, ClusterRun) {
-	return runKernelPerTaskCluster(tasks, co, cfg, gpu.Oversub{}, "hyperq")
-}
-
-func (n *hyperqNode) devMetrics(sim.Time) (float64, float64) {
-	m := n.sys.dev.Metrics()
-	return m.AvgOccupancy, m.IssueUtil
-}
-
-// runKernelPerTaskCluster is the shared kernel-per-task fleet engine behind
-// RunHyperQCluster and RunZoruaCluster; scheme names the per-node trace
-// tracks ("node00/serve-<scheme>").
-func runKernelPerTaskCluster(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config,
-	ov gpu.Oversub, scheme string) (Result, ClusterRun) {
-	co = co.normalize()
-	if co.Scaler.Enabled() {
-		return runElasticCluster(tasks, co, cfg, scheme,
-			func(eng *sim.Engine, name string, recs []serve.Record) elasticNode {
-				return newKernelPerTaskNode(eng, name, tasks, recs, co.nodeAdmit(), cfg, ov)
-			})
-	}
-	eng := sim.New()
-	recs := make([]serve.Record, len(tasks))
-	nodes := make([]*hyperqNode, co.nodes())
-	fleet := make([]cluster.Node, len(nodes))
-	for i := range nodes {
-		nodes[i] = newKernelPerTaskNode(eng, fmt.Sprintf("node%02d", i), tasks, recs, co.nodeAdmit(), cfg, ov)
-		nodes[i].admitTask = co.AdmitTask
-		fleet[i] = nodes[i]
-	}
-	nodeOf := make([]int, len(tasks))
-	cluster.Dispatcher{Arrivals: co.Arrivals, Classes: co.Classes, Policy: co.Policy, Nodes: fleet}.
-		Spawn(eng, recs, nodeOf)
-	eng.Run()
-
-	// The fleet's elapsed time is the last node's drain instant, matching the
-	// single-device runner's endTime capture.
-	var end sim.Time
-	for _, n := range nodes {
-		if n.endAt > end {
-			end = n.endAt
-		}
-	}
-	res := openLoopResult(end, recs)
-	cr := ClusterRun{Recs: recs, NodeOf: nodeOf,
-		Views: make([]cluster.NodeView, len(nodes)), Names: make([]string, len(nodes))}
-	var occ, iu float64
-	for i, n := range nodes {
-		cr.Views[i] = n.View()
-		cr.Names[i] = nodeTrack(i, scheme)
-		m := n.sys.dev.Metrics()
-		occ += m.AvgOccupancy
-		iu += m.IssueUtil
-		addClusterServeSpans(co.Trace, cr.Names[i], recs, nodeOf, i)
-	}
-	res.Occupancy = occ / float64(len(nodes))
-	res.IssueUtil = iu / float64(len(nodes))
-	return res, cr
-}
-
-// ---------------------------------------------------------------------------
-// GeMTC backend
-
-// gemtcNode is one GeMTC SuperKernel device behind the dispatcher. Admission
-// is consulted at the arrival instant (the single-device submit proc never
-// blocks), admitted tasks join the node's host-side FIFO, and a dispatch
-// proc launches a SuperKernel over the queue's contents whenever the device
-// is free — batch semantics identical to RunGeMTCOpenLoop.
-type gemtcNode struct {
-	nodeBase
-	sys     *system
-	recs    []serve.Record
-	tasks   []workloads.TaskDef
-	cfg     Config
-	pending []int
-	more    sim.Signal
-	endAt   sim.Time // instant this node drained (last batch done)
-}
-
-func newGeMTCNode(eng *sim.Engine, name string, tasks []workloads.TaskDef,
-	recs []serve.Record, admit func(sim.Time, int) bool, cfg Config) *gemtcNode {
-	n := &gemtcNode{
-		nodeBase: nodeBase{name: name, admit: admit},
-		sys:      newSystemOn(eng, cfg),
-		recs:     recs,
-		tasks:    tasks,
-		cfg:      cfg,
-	}
-	eng.Spawn(name+"-dispatch", n.dispatch)
-	return n
-}
-
-func (n *gemtcNode) Submit(p *sim.Proc, ti int) {
-	n.view.Routed++
-	if !n.admitNow(ti, p.Now()) {
-		n.recs[ti].Dropped = true
-		n.view.Dropped++
-		return
-	}
-	n.admitted++
-	n.pending = append(n.pending, ti)
-	n.more.Broadcast()
-}
-
-func (n *gemtcNode) Close() {
-	n.closed = true
-	n.more.Broadcast()
-}
-
-func (n *gemtcNode) dispatch(p *sim.Proc) {
-	batchCap := n.cfg.GeMTCBatch
-	if batchCap <= 0 {
-		batchCap = 1536
-	}
-	workerThreads := n.cfg.GeMTCThreads
-	if workerThreads <= 0 {
-		for i := range n.tasks {
-			if n.tasks[i].Threads > workerThreads {
-				workerThreads = n.tasks[i].Threads
-			}
-		}
-	}
-	if workerThreads == 0 {
-		workerThreads = 128
-	}
-	occ := gpu.TheoreticalOccupancy(n.sys.dev.Cfg, gpu.LaunchSpec{
-		BlockThreads: workerThreads, RegsPerThread: 32,
-	})
-	workers := occ.TBsPerSMM * n.sys.dev.Cfg.NumSMMs
-	queueSite := gpu.NewAtomicSite(n.sys.eng, n.sys.dev.Cfg.AtomicGlobalLatency)
-
-	stream := n.sys.ctx.NewStream()
-	for {
-		for len(n.pending) == 0 && !n.closed {
-			n.more.Wait(p)
-		}
-		if len(n.pending) == 0 {
-			break
-		}
-		b := len(n.pending)
-		if b > batchCap {
-			b = batchCap
-		}
-		batch := append([]int(nil), n.pending[:b]...)
-		n.pending = n.pending[b:]
-		n.view.Started += len(batch)
-		launchStart := n.sys.eng.Now()
-
-		desc := 64 * len(batch)
-		in := 0
-		for _, ti := range batch {
-			if n.cfg.CopyData {
-				in += n.tasks[ti].InBytes
-			}
-		}
-		stream.MemcpyH2D(p, desc+in, nil)
-
-		next := 0                       // single FIFO queue head
-		claimed := make([]int, workers) // per-worker claimed batch position
-		h := stream.Launch(p, gpu.LaunchSpec{
-			Name:          "SuperKernel",
-			GridDim:       workers,
-			BlockThreads:  workerThreads,
-			RegsPerThread: 32,
-			Fn: func(c *gpu.Ctx) {
-				for {
-					if c.WarpInBlock == 0 {
-						c.AtomicGlobal(queueSite)
-						if next < len(batch) {
-							claimed[c.BlockIdx] = next
-							next++
-						} else {
-							claimed[c.BlockIdx] = -1
-						}
-					}
-					c.SyncBlock()
-					idx := claimed[c.BlockIdx]
-					if idx < 0 {
-						return
-					}
-					td := &n.tasks[batch[idx]]
-					td.Kernel(&warpAdapter{
-						g:        c,
-						threads:  workerThreads,
-						blocks:   1,
-						blockIdx: 0,
-						warpInBl: c.WarpInBlock,
-					})
-					c.SyncBlock()
-				}
-			},
-		})
-		h.Wait(p)
-
-		out := 0
-		for _, ti := range batch {
-			if n.cfg.CopyData {
-				out += n.tasks[ti].OutBytes
-			}
-		}
-		if out > 0 {
-			stream.MemcpyD2H(p, out, nil)
-			stream.Sync(p)
-		}
-		batchEnd := n.sys.eng.Now()
-		for _, ti := range batch {
-			n.recs[ti].Start = launchStart
-			n.recs[ti].Done = batchEnd
-			n.noteDone(ti)
-		}
-	}
-	n.endAt = n.sys.eng.Now()
-}
-
-func (n *gemtcNode) devMetrics(sim.Time) (float64, float64) {
-	m := n.sys.dev.Metrics()
-	return m.AvgOccupancy, m.IssueUtil
-}
-
-// RunGeMTCCluster executes timed arrivals on a GeMTC fleet. A task's Start
-// is its batch's launch on the owning node and its Done the whole batch's
-// end — the Fig. 10 batch property, now per node.
-func RunGeMTCCluster(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config) (Result, ClusterRun) {
-	co = co.normalize()
-	if co.Scaler.Enabled() {
-		return runElasticCluster(tasks, co, cfg, "gemtc",
-			func(eng *sim.Engine, name string, recs []serve.Record) elasticNode {
-				return newGeMTCNode(eng, name, tasks, recs, co.nodeAdmit(), cfg)
-			})
-	}
-	eng := sim.New()
-	recs := make([]serve.Record, len(tasks))
-	nodes := make([]*gemtcNode, co.nodes())
-	fleet := make([]cluster.Node, len(nodes))
-	for i := range nodes {
-		nodes[i] = newGeMTCNode(eng, fmt.Sprintf("node%02d", i), tasks, recs, co.nodeAdmit(), cfg)
-		nodes[i].admitTask = co.AdmitTask
-		fleet[i] = nodes[i]
-	}
-	nodeOf := make([]int, len(tasks))
-	cluster.Dispatcher{Arrivals: co.Arrivals, Classes: co.Classes, Policy: co.Policy, Nodes: fleet}.
-		Spawn(eng, recs, nodeOf)
-	eng.Run()
-
-	// The fleet's elapsed time is the last node's drain instant, matching the
-	// single-device runner's endTime capture.
-	var end sim.Time
-	for _, n := range nodes {
-		if n.endAt > end {
-			end = n.endAt
-		}
-	}
-	res := openLoopResult(end, recs)
-	cr := ClusterRun{Recs: recs, NodeOf: nodeOf,
-		Views: make([]cluster.NodeView, len(nodes)), Names: make([]string, len(nodes))}
-	var occ, iu float64
-	for i, n := range nodes {
-		cr.Views[i] = n.View()
-		cr.Names[i] = nodeTrack(i, "gemtc")
-		m := n.sys.dev.Metrics()
-		occ += m.AvgOccupancy
-		iu += m.IssueUtil
-		addClusterServeSpans(co.Trace, cr.Names[i], recs, nodeOf, i)
-	}
-	res.Occupancy = occ / float64(len(nodes))
-	res.IssueUtil = iu / float64(len(nodes))
-	return res, cr
-}
+func (q *fifo) pop() int { return q.take(1)[0] }

@@ -10,11 +10,9 @@ import (
 	"repro/internal/workloads"
 )
 
-// clusterBackend pairs a single-device open-loop runner with its cluster
-// generalization for the equivalence pin.
+// clusterBackend names one scheme's cluster runner for the fleet gates.
 type clusterBackend struct {
 	key     string
-	single  func([]workloads.TaskDef, OpenLoop, Config) (Result, []serve.Record)
 	cluster func([]workloads.TaskDef, ClusterOpenLoop, Config) (Result, ClusterRun)
 }
 
@@ -23,7 +21,7 @@ type clusterBackend struct {
 func clusterBackends() []clusterBackend {
 	var out []clusterBackend
 	for _, s := range Schemes() {
-		out = append(out, clusterBackend{s.Key, s.RunOpenLoop, s.RunCluster})
+		out = append(out, clusterBackend{s.Key, s.RunCluster})
 	}
 	return out
 }
@@ -41,65 +39,6 @@ func clusterTestConfig() Config {
 	cfg := DefaultConfig()
 	cfg.SMMs = 4
 	return cfg
-}
-
-// TestClusterOneNodeMatchesOpenLoop is the regression pin from the issue: a
-// 1-node fleet under round-robin must reproduce the single-device open-loop
-// records exactly — same Submit/Start/Done/Dropped per task — for every
-// backend under every admission policy shape serve_latency sweeps.
-func TestClusterOneNodeMatchesOpenLoop(t *testing.T) {
-	const n = 96
-	const rate = 256e3
-	tasks := clusterTestTasks(t, n)
-	cfg := clusterTestConfig()
-	arrivals := serve.Poisson{Rate: rate, Seed: 1}.Times(n)
-
-	admissions := []struct {
-		name    string
-		single  func() serve.Policy
-		cluster func() func(sim.Time, int) bool
-	}{
-		{"unbounded", nil, nil},
-		{"queue8",
-			func() serve.Policy { return serve.BoundedQueue{Limit: 8} },
-			func() func(sim.Time, int) bool { return serve.BoundedQueue{Limit: 8}.Admit }},
-		{"token",
-			func() serve.Policy { return serve.NewTokenBucket(rate/2, 4) },
-			func() func(sim.Time, int) bool { return serve.NewTokenBucket(rate/2, 4).Admit }},
-	}
-
-	for _, be := range clusterBackends() {
-		for _, ad := range admissions {
-			t.Run(be.key+"/"+ad.name, func(t *testing.T) {
-				ol := OpenLoop{Arrivals: arrivals}
-				if ad.single != nil {
-					ol.Admit = ad.single().Admit
-				}
-				sres, srecs := be.single(tasks, ol, cfg)
-
-				co := ClusterOpenLoop{Arrivals: arrivals, Nodes: 1, Policy: cluster.NewRoundRobin()}
-				if ad.cluster != nil {
-					co.Admit = ad.cluster
-				}
-				cres, cr := be.cluster(tasks, co, cfg)
-
-				if !reflect.DeepEqual(srecs, cr.Recs) {
-					for i := range srecs {
-						if srecs[i] != cr.Recs[i] {
-							t.Fatalf("record %d diverged:\n single  %+v\n cluster %+v", i, srecs[i], cr.Recs[i])
-						}
-					}
-					t.Fatal("records diverged")
-				}
-				if sres != cres {
-					t.Errorf("results diverged:\n single  %+v\n cluster %+v", sres, cres)
-				}
-				if err := cr.CheckConservation(); err != nil {
-					t.Errorf("conservation: %v", err)
-				}
-			})
-		}
-	}
 }
 
 // TestClusterConservationEveryPolicyBackend asserts the fleet-wide

@@ -5,9 +5,14 @@ import (
 
 	"repro/internal/cuda"
 	"repro/internal/gpu"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
+
+// numStreams is the HyperQ stream count (CUDA_DEVICE_MAX_CONNECTIONS=32)
+// every kernel-per-task host path spreads its tasks over.
+const numStreams = 32
 
 // RunHyperQ executes each task as its own CUDA kernel over 32 streams, the
 // paper's CUDA-HyperQ baseline (CUDA_DEVICE_MAX_CONNECTIONS=32). Each task's
@@ -27,16 +32,12 @@ func runKernelPerTask(tasks []workloads.TaskDef, cfg Config, ov gpu.Oversub) Res
 	if ov.Enabled() {
 		sys.dev.Virtualize(ov)
 	}
-	const numStreams = 32
 	streams := make([]*cuda.Stream, numStreams)
 	for i := range streams {
 		streams[i] = sys.ctx.NewStream()
 	}
 
-	spawners := cfg.Spawners
-	if spawners <= 0 {
-		spawners = 1
-	}
+	spawners := cfg.spawners()
 	parts := splitRoundRobin(tasks, spawners)
 
 	lats := make([]sim.Time, 0, len(tasks))
@@ -123,4 +124,121 @@ func hyperqSpec(td *workloads.TaskDef) gpu.LaunchSpec {
 			})
 		},
 	}
+}
+
+// hyperqNode is the kernel-per-task serving host path — HyperQ on a static
+// device, zorua on a virtualized one — behind the dispatcher. Its single host
+// proc launches each admitted task as its own kernel in routing order, on
+// the stream picked by its node-local sequence number (dropped tasks still
+// consume a sequence slot). Start is the instant the kernel's threadblocks
+// become dispatchable (stream reached it, HyperQ connection held, launch
+// overhead paid); Done is the end of the task's output copy — the
+// stream-FIFO point where the host could consume the result.
+type hyperqNode struct {
+	nodeBase
+	sys     *system
+	recs    []serve.Record
+	tasks   []workloads.TaskDef
+	cfg     Config
+	streams []*cuda.Stream
+	queue   fifo
+	seq     int // node-local arrival sequence, advanced per pop
+	more    sim.Signal
+	doneSig sim.Signal
+}
+
+func newHyperQNode(eng *sim.Engine, name string, tasks []workloads.TaskDef,
+	recs []serve.Record, cfg Config) node {
+	return newKernelPerTaskNode(eng, name, tasks, recs, cfg, gpu.Oversub{})
+}
+
+// newKernelPerTaskNode builds one kernel-per-task node: a static device for
+// HyperQ (zero Oversub), a virtualized one for zorua.
+func newKernelPerTaskNode(eng *sim.Engine, name string, tasks []workloads.TaskDef,
+	recs []serve.Record, cfg Config, ov gpu.Oversub) *hyperqNode {
+	n := &hyperqNode{
+		nodeBase: nodeBase{name: name},
+		sys:      newSystemOn(eng, cfg),
+		recs:     recs,
+		tasks:    tasks,
+		cfg:      cfg,
+		streams:  make([]*cuda.Stream, numStreams),
+	}
+	if ov.Enabled() {
+		n.sys.dev.Virtualize(ov)
+	}
+	for i := range n.streams {
+		n.streams[i] = n.sys.ctx.NewStream()
+	}
+	eng.Spawn(name+"-host", n.host)
+	return n
+}
+
+func (n *hyperqNode) Submit(_ *sim.Proc, ti int) {
+	n.view.Routed++
+	n.queue.push(ti)
+	n.more.Broadcast()
+}
+
+func (n *hyperqNode) Close() {
+	n.closed = true
+	n.more.Broadcast()
+}
+
+func (n *hyperqNode) finish(ti int) {
+	n.recs[ti].Done = n.sys.eng.Now()
+	n.noteDone(ti)
+	n.doneSig.Broadcast()
+}
+
+func (n *hyperqNode) host(p *sim.Proc) {
+	for {
+		for n.queue.len() == 0 && !n.closed {
+			n.more.Wait(p)
+		}
+		if n.queue.len() == 0 {
+			break
+		}
+		ti := n.queue.pop()
+		seq := n.seq
+		n.seq++
+		td := &n.tasks[ti]
+		if !n.admitNow(ti, p.Now()) {
+			n.recs[ti].Dropped = true
+			n.view.Dropped++
+			continue
+		}
+		n.admitted++
+		n.view.Started++
+		stream := n.streams[seq%numStreams]
+		if n.cfg.CopyData && td.InBytes > 0 {
+			stream.MemcpyH2D(p, td.InBytes, nil)
+		}
+		h := stream.LaunchHooked(p, hyperqSpec(td), func() {
+			n.recs[ti].Start = n.sys.eng.Now()
+		})
+		if n.cfg.CopyData && td.OutBytes > 0 {
+			// The output copy sits right behind its kernel in the stream FIFO;
+			// its delivery is the task's completion.
+			stream.MemcpyD2H(p, td.OutBytes, func() { n.finish(ti) })
+		} else {
+			// No output copy: completion is the kernel's own end, observed by
+			// a waiter process.
+			n.sys.eng.Spawn(fmt.Sprintf("%s-wait%d", n.name, ti), func(wp *sim.Proc) {
+				h.Wait(wp)
+				n.finish(ti)
+			})
+		}
+	}
+	for n.completed < n.admitted {
+		n.doneSig.Wait(p)
+	}
+	for _, st := range n.streams {
+		st.Sync(p)
+	}
+}
+
+func (n *hyperqNode) devMetrics(sim.Time) (float64, float64) {
+	m := n.sys.dev.Metrics()
+	return m.AvgOccupancy, m.IssueUtil
 }

@@ -157,9 +157,15 @@ func TestOpenLoopTraceSpans(t *testing.T) {
 	tasks := olTasks(t, 24)
 	arr := serve.FixedRate{Rate: 20e3}.Times(len(tasks))
 	tr := trace.New()
-	res, recs := RunPagodaOpenLoop(tasks, OpenLoop{Arrivals: arr, Trace: tr}, olConfig())
+	pagoda, _ := SchemeByKey("pagoda")
+	res, recs := pagoda.RunOpenLoop(tasks, OpenLoop{Arrivals: arr, Trace: tr}, olConfig())
 	if want := 2 * res.Tasks; tr.Len() != want {
 		t.Fatalf("trace has %d spans, want %d", tr.Len(), want)
+	}
+	for _, track := range tr.Tracks() {
+		if track != "serve-pagoda" {
+			t.Errorf("span on track %q, want serve-pagoda", track)
+		}
 	}
 	var waitBusy, serviceBusy float64
 	for cat, e := range tr.Summary() {
@@ -186,6 +192,7 @@ func TestOpenLoopTraceSpans(t *testing.T) {
 // TestOpenLoopValidation: arrival/task mismatches are programmer errors.
 func TestOpenLoopValidation(t *testing.T) {
 	tasks := olTasks(t, 4)
+	pagoda, _ := SchemeByKey("pagoda")
 	for _, bad := range []OpenLoop{
 		{Arrivals: []sim.Time{1, 2}},         // wrong length
 		{Arrivals: []sim.Time{1, 2, 3, 2.5}}, // decreasing
@@ -196,7 +203,7 @@ func TestOpenLoopValidation(t *testing.T) {
 					t.Errorf("no panic for %v", bad.Arrivals)
 				}
 			}()
-			RunPagodaOpenLoop(tasks, bad, olConfig())
+			pagoda.RunOpenLoop(tasks, bad, olConfig())
 		}()
 	}
 }

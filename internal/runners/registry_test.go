@@ -84,8 +84,10 @@ func TestZoruaAtUnityMatchesHyperQ(t *testing.T) {
 	}
 
 	arr := serve.Poisson{Rate: 128e3, Seed: 2}.Times(len(tasks))
-	rz, zrecs := RunZoruaOpenLoop(tasks, OpenLoop{Arrivals: arr}, unity)
-	rh, hrecs := RunHyperQOpenLoop(tasks, OpenLoop{Arrivals: arr}, cfg)
+	zorua, _ := SchemeByKey("zorua")
+	hyperq, _ := SchemeByKey("hyperq")
+	rz, zrecs := zorua.RunOpenLoop(tasks, OpenLoop{Arrivals: arr}, unity)
+	rh, hrecs := hyperq.RunOpenLoop(tasks, OpenLoop{Arrivals: arr}, cfg)
 	if rz != rh {
 		t.Errorf("open loop diverged at unity:\n zorua  %+v\n hyperq %+v", rz, rh)
 	}

@@ -135,6 +135,14 @@ func newSystemOn(eng *sim.Engine, cfg Config) *system {
 	return &system{eng: eng, dev: dev, bus: bus, ctx: ctx}
 }
 
+// spawners resolves the host thread count: Spawners, at least one.
+func (c Config) spawners() int {
+	if c.Spawners <= 0 {
+		return 1
+	}
+	return c.Spawners
+}
+
 // splitRoundRobin deals tasks to n spawners preserving arrival order within
 // each spawner.
 func splitRoundRobin(tasks []workloads.TaskDef, n int) [][]int {

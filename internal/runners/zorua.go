@@ -3,6 +3,7 @@ package runners
 import (
 	"repro/internal/gpu"
 	"repro/internal/serve"
+	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -37,15 +38,9 @@ func RunZorua(tasks []workloads.TaskDef, cfg Config) Result {
 	return runKernelPerTask(tasks, cfg, zoruaOversub(cfg))
 }
 
-// RunZoruaOpenLoop executes timed arrivals under the zorua scheme. Start and
-// Done semantics match RunHyperQOpenLoop (kernel dispatchable / output
-// delivered); serve spans land on the "serve-zorua" track.
-func RunZoruaOpenLoop(tasks []workloads.TaskDef, ol OpenLoop, cfg Config) (Result, []serve.Record) {
-	return runKernelPerTaskOpenLoop(tasks, ol, cfg, zoruaOversub(cfg), "zorua")
-}
-
-// RunZoruaCluster executes timed arrivals on a fleet of virtualized devices.
-// Routing, admission and Start/Done semantics match RunHyperQCluster.
-func RunZoruaCluster(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config) (Result, ClusterRun) {
-	return runKernelPerTaskCluster(tasks, co, cfg, zoruaOversub(cfg), "zorua")
+// newZoruaNode builds zorua's serving node: the HyperQ host path on a
+// virtualized device.
+func newZoruaNode(eng *sim.Engine, name string, tasks []workloads.TaskDef,
+	recs []serve.Record, cfg Config) node {
+	return newKernelPerTaskNode(eng, name, tasks, recs, cfg, zoruaOversub(cfg))
 }

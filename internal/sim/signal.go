@@ -23,13 +23,16 @@ func (s *Signal) Wait(p *Proc) {
 }
 
 // Broadcast wakes every current waiter. Processes that start waiting after
-// the call are not affected.
+// the call are not affected. Wakeup only schedules, so no waiter runs (or
+// re-waits) during the loop, and the waiter list keeps its backing array: a
+// signal that is waited on and broadcast once per task does not allocate
+// per task.
 func (s *Signal) Broadcast() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, p := range ws {
+	for i, p := range s.waiters {
 		p.Wakeup()
+		s.waiters[i] = nil
 	}
+	s.waiters = s.waiters[:0]
 }
 
 // Pulse wakes the longest-waiting process, if any. It reports whether a

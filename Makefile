@@ -1,13 +1,19 @@
 GO ?= go
 
-.PHONY: check lint test vet race race-harness perf perf-quick perf-update bench-engine bench-serve bench-cluster
+.PHONY: check fmt lint test vet race race-harness perf perf-quick perf-update bench-engine bench-serve bench-cluster
 
-# check is the pre-merge gate, in order: the determinism analyzers
+# check is the pre-merge gate, in order: gofmt, the determinism analyzers
 # (pagodavet), go vet, the full test suite, race detection across the
 # internal tree, and the quick tier of the perf-regression gate (pagodaperf
-# against the BENCH_*.json baselines). lint runs first so a wall-clock read
-# or stray goroutine fails the build before anything expensive starts.
-check: lint vet test race perf-quick
+# against the BENCH_*.json baselines). fmt and lint run first so an
+# unformatted file, a wall-clock read or a stray goroutine fails the build
+# before anything expensive starts.
+check: fmt lint vet test race perf-quick
+
+# fmt fails when any Go file in the tree (simbench included) is not
+# gofmt-clean, and lists the offenders.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # lint runs the project's determinism & sim-safety analyzers: the per-file
 # checks plus the interprocedural taintflow pass (call-graph taint tracking

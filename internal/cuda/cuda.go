@@ -3,9 +3,10 @@
 // copies over the PCIe model, kernel launches with driver overhead, and the
 // HyperQ concurrent-kernel limit (CUDA_DEVICE_MAX_CONNECTIONS).
 //
-// Host code runs as simulation processes (sim.Proc); the stream commands run
-// on per-stream worker processes, so host enqueue is cheap and asynchronous
-// exactly as in CUDA.
+// Host code runs as simulation processes (sim.Proc); a stream's commands run
+// on a worker process that the first enqueue to an idle stream starts and
+// that exits when the queue drains, so host enqueue is cheap and asynchronous
+// exactly as in CUDA, and an idle stream holds no process.
 package cuda
 
 import (
@@ -83,10 +84,10 @@ type command func(p *sim.Proc)
 // before the next starts; commands in different streams may overlap.
 type Stream struct {
 	ctx      *Context
-	id       int
+	name     string // worker process name
 	queue    []command
-	notEmpty sim.Signal
-	inFlight int // queued + running commands
+	working  bool // a worker process is draining queue
+	inFlight int  // queued + running commands
 	idleSig  sim.Signal
 
 	// Pipelined-copy delivery ordering: completions are held back until all
@@ -98,19 +99,17 @@ type Stream struct {
 	pipelined  int // issued but not yet delivered pipelined copies
 }
 
-// NewStream creates a stream and starts its worker process.
+// NewStream creates an idle stream.
 func (c *Context) NewStream() *Stream {
-	s := &Stream{ctx: c, id: len(c.streams)}
+	s := &Stream{ctx: c, name: fmt.Sprintf("stream%d", len(c.streams))}
 	c.streams = append(c.streams, s)
-	c.Eng.Spawn(fmt.Sprintf("stream%d", s.id), s.worker)
 	return s
 }
 
+// worker runs queued commands in order and exits once the queue drains, so
+// an idle stream holds no process and a finished run leaves none parked.
 func (s *Stream) worker(p *sim.Proc) {
-	for {
-		for len(s.queue) == 0 {
-			s.notEmpty.Wait(p)
-		}
+	for len(s.queue) > 0 {
 		cmd := s.queue[0]
 		s.queue = s.queue[1:]
 		cmd(p)
@@ -119,14 +118,19 @@ func (s *Stream) worker(p *sim.Proc) {
 			s.idleSig.Broadcast()
 		}
 	}
+	s.working = false
 }
 
-// enqueue appends a command, charging the host's enqueue cost to `host`.
+// enqueue appends a command, charging the host's enqueue cost to `host`,
+// and starts a worker if none is draining the queue.
 func (s *Stream) enqueue(host *sim.Proc, cmd command) {
 	host.Sleep(s.ctx.Cfg.EnqueueCost)
 	s.queue = append(s.queue, cmd)
 	s.inFlight++
-	s.notEmpty.Broadcast()
+	if !s.working {
+		s.working = true
+		s.ctx.Eng.Spawn(s.name, s.worker)
+	}
 }
 
 // Sync blocks the host process until every command enqueued so far has

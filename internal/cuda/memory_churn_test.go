@@ -83,7 +83,7 @@ func TestFreeCoalescing(t *testing.T) {
 	a, _ := ctx.Malloc(4096)
 	b, _ := ctx.Malloc(4096)
 	c, _ := ctx.Malloc(4096)
-	top, _ := ctx.Malloc(4096) // pins the bump pointer above c
+	top, _ := ctx.Malloc(4096)            // pins the bump pointer above c
 	for _, p := range []DevPtr{a, c, b} { // b's free must merge both sides
 		if err := ctx.Free(p); err != nil {
 			t.Fatal(err)

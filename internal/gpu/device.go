@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -80,7 +81,7 @@ type SMM struct {
 	dev *Device
 	ID  int
 
-	issue *psResource
+	issue *sim.PS // perFlow 1, total IssueWidth: a lone warp issues at most once a cycle
 
 	residentTBs     int
 	residentThreads int
@@ -156,7 +157,7 @@ type Device struct {
 
 	pending []*threadBlock // FIFO dispatch queue (head-of-line blocking, as in CUDA)
 
-	membw *bwResource // device-memory bandwidth, shared by all global accesses
+	membw *sim.PS // device-memory bandwidth, shared by all global accesses with no per-flow cap
 
 	// Trace, when set, records kernel and threadblock spans.
 	Trace *trace.Tracer
@@ -177,13 +178,13 @@ type Device struct {
 func NewDevice(eng *sim.Engine, cfg Config) *Device {
 	cfg.Validate()
 	d := &Device{Eng: eng, Cfg: cfg, caps: physCaps(cfg), createdAt: eng.Now()}
-	d.membw = newBWResource(eng, cfg.MemBandwidth)
+	d.membw = sim.NewPS(eng, math.Inf(1), cfg.MemBandwidth)
 	d.SMMs = make([]*SMM, cfg.NumSMMs)
 	for i := range d.SMMs {
 		d.SMMs[i] = &SMM{
 			dev:         d,
 			ID:          i,
-			issue:       newPSResource(eng, cfg.IssueWidth),
+			issue:       sim.NewPS(eng, 1, cfg.IssueWidth),
 			lastWarpUpd: eng.Now(),
 		}
 	}
@@ -329,6 +330,3 @@ func (d *Device) warpDone(tb *threadBlock) {
 	}
 	d.tryDispatch()
 }
-
-// PendingTBs returns the number of threadblocks awaiting dispatch.
-func (d *Device) PendingTBs() int { return len(d.pending) }

@@ -308,27 +308,3 @@ func TestDispatchBalancesAcrossSMMs(t *testing.T) {
 		t.Fatalf("TB distribution = %v, want 4 per SMM", smms)
 	}
 }
-
-func TestResetMetrics(t *testing.T) {
-	eng := sim.New()
-	cfg := testCfg()
-	cfg.NumSMMs = 1
-	dev := NewDevice(eng, cfg)
-	dev.Launch(LaunchSpec{Name: "m1", GridDim: 1, BlockThreads: 1024,
-		Fn: func(c *Ctx) { c.Compute(1000) }})
-	eng.Run()
-	if m := dev.Metrics(); m.AvgOccupancy < 0.4 {
-		t.Fatalf("pre-reset occupancy %v", m.AvgOccupancy)
-	}
-	dev.ResetMetrics()
-	// An idle window after reset: occupancy and utilization drop to zero.
-	eng.Schedule(5000, func() {})
-	eng.Run()
-	m := dev.Metrics()
-	if m.AvgOccupancy != 0 || m.IssueUtil != 0 {
-		t.Fatalf("post-reset metrics not clean: %+v", m)
-	}
-	if m.Elapsed != 5000 {
-		t.Fatalf("post-reset window = %v, want 5000", m.Elapsed)
-	}
-}

@@ -3,7 +3,7 @@ package gpu
 import "repro/internal/sim"
 
 // Metrics is a point-in-time snapshot of device utilization since device
-// creation (or the last ResetMetrics).
+// creation.
 type Metrics struct {
 	Elapsed       sim.Time // cycles covered by this snapshot
 	IssueUtil     float64  // fraction of issue slots busy, device-wide
@@ -22,10 +22,10 @@ func (d *Device) Metrics() Metrics {
 	}
 	var busy, queue, warpInt float64
 	for _, s := range d.SMMs {
-		s.issue.Poke()
+		b, q := s.issue.Integrals()
 		s.settleWarps()
-		busy += s.issue.BusyIntegral()
-		queue += s.issue.QueueIntegral()
+		busy += b
+		queue += q
 		warpInt += s.warpIntegral
 		m.ResidentWarps += s.residentWarps
 	}
@@ -34,18 +34,4 @@ func (d *Device) Metrics() Metrics {
 	m.AvgReadyWarps = queue / (elapsed * float64(d.Cfg.NumSMMs))
 	m.AvgOccupancy = warpInt / (elapsed * float64(d.Cfg.TotalWarps()))
 	return m
-}
-
-// ResetMetrics restarts the utilization accounting window at the current
-// time.
-func (d *Device) ResetMetrics() {
-	now := d.Eng.Now()
-	d.createdAt = now
-	for _, s := range d.SMMs {
-		s.issue.Poke()
-		s.issue.busyIntegral = 0
-		s.issue.queueIntegral = 0
-		s.settleWarps()
-		s.warpIntegral = 0
-	}
 }

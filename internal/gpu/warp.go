@@ -99,7 +99,7 @@ func (c *Ctx) transactions(n int) float64 {
 // warps can hide it).
 func (c *Ctx) GlobalRead(n int) {
 	c.Compute(c.transactions(n))
-	c.dev.membw.Acquire(c.proc, n)
+	c.dev.membw.Acquire(c.proc, float64(n))
 	c.proc.Sleep(c.dev.Cfg.GlobalLatency)
 }
 
@@ -108,7 +108,7 @@ func (c *Ctx) GlobalRead(n int) {
 // latency.
 func (c *Ctx) GlobalWrite(n int) {
 	c.Compute(c.transactions(n))
-	c.dev.membw.Acquire(c.proc, n)
+	c.dev.membw.Acquire(c.proc, float64(n))
 	c.proc.Sleep(c.dev.Cfg.GlobalLatency / 8)
 }
 

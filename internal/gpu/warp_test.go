@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -14,6 +15,13 @@ func runWarpOp(fn func(c *Ctx)) sim.Time {
 	dev := NewDevice(eng, cfg)
 	dev.Launch(LaunchSpec{Name: "op", GridDim: 1, BlockThreads: 32, Fn: fn})
 	return eng.Run()
+}
+
+func approx(t *testing.T, got, want, tol float64, msg string) {
+	t.Helper()
+	if math.Abs(got-want) > tol {
+		t.Fatalf("%s: got %v, want %v (±%v)", msg, got, want, tol)
+	}
 }
 
 func TestGlobalReadCost(t *testing.T) {
@@ -166,22 +174,6 @@ func BenchmarkKernelLaunchExec(b *testing.B) {
 				}
 			},
 		})
-		eng.Run()
-	}
-}
-
-func BenchmarkPSResource(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		eng := sim.New()
-		r := newPSResource(eng, 4)
-		for w := 0; w < 64; w++ {
-			eng.Spawn("w", func(p *sim.Proc) {
-				for k := 0; k < 20; k++ {
-					r.Acquire(p, 100)
-					p.Sleep(50)
-				}
-			})
-		}
 		eng.Run()
 	}
 }

@@ -49,11 +49,12 @@ func Default() Config {
 }
 
 // Bus is the simulated link. Each direction has an independent
-// bandwidth-shared pipe (PCIe is full duplex).
+// processor-shared pipe (PCIe is full duplex): n transfers in flight in one
+// direction each move at BytesPerCycle/n.
 type Bus struct {
 	eng  *sim.Engine
 	cfg  Config
-	pipe [2]*pipe
+	pipe [2]*sim.PS
 
 	// Transfers and BytesMoved count completed transactions (diagnostics and
 	// handshake accounting in experiments). Started and BytesRequested count
@@ -65,107 +66,18 @@ type Bus struct {
 	BytesRequested [2]int64
 }
 
-// pipe is a processor-sharing bandwidth resource: n concurrent transfers
-// each progress at bandwidth/n.
-type pipe struct {
-	eng  *sim.Engine
-	rate float64 // bytes per cycle when alone
-	// reqs holds in-flight transfers by value; completion compacts in place
-	// and reuses the backing array, so steady-state transfer never allocates.
-	reqs  []xfer
-	last  sim.Time
-	timer *sim.Timer
-}
-
-type xfer struct {
-	remaining float64 // bytes
-	proc      *sim.Proc
-}
-
-func newPipe(eng *sim.Engine, rate float64) *pipe {
-	p := &pipe{eng: eng, rate: rate, last: eng.Now()}
-	p.timer = sim.NewTimer(eng, p.onTimer)
-	return p
-}
-
-func (p *pipe) perFlow() float64 {
-	if len(p.reqs) == 0 {
-		return 0
-	}
-	return p.rate / float64(len(p.reqs))
-}
-
-func (p *pipe) settle() {
-	now := p.eng.Now()
-	dt := now - p.last
-	if dt > 0 {
-		r := p.perFlow()
-		for i := range p.reqs {
-			p.reqs[i].remaining -= dt * r
-		}
-	}
-	p.last = now
-}
-
-func (p *pipe) rearm() {
-	if len(p.reqs) == 0 {
-		p.timer.Stop()
-		return
-	}
-	minRem := math.Inf(1)
-	for i := range p.reqs {
-		if p.reqs[i].remaining < minRem {
-			minRem = p.reqs[i].remaining
-		}
-	}
-	if minRem < 0 {
-		minRem = 0
-	}
-	d := minRem / p.perFlow()
-	if now := p.eng.Now(); now+d == now {
-		// See gpu.bwResource.rearm: a delay below the clock's current
-		// float64 ulp would re-fire at this instant forever without
-		// draining; step to the next representable instant so the
-		// transfer completes.
-		p.timer.ResetAt(math.Nextafter(now, math.Inf(1)))
-		return
-	}
-	p.timer.Reset(d)
-}
-
-func (p *pipe) onTimer() {
-	p.settle()
-	kept := p.reqs[:0]
-	for i := range p.reqs {
-		if p.reqs[i].remaining <= 1e-6 {
-			p.reqs[i].proc.Wakeup()
-		} else {
-			kept = append(kept, p.reqs[i])
-		}
-	}
-	p.reqs = kept
-	p.rearm()
-}
-
-func (p *pipe) transfer(proc *sim.Proc, bytes int) {
-	if bytes <= 0 {
-		return
-	}
-	p.settle()
-	p.reqs = append(p.reqs, xfer{remaining: float64(bytes), proc: proc})
-	p.rearm()
-	proc.Block()
-}
-
 // New creates a bus on the engine.
 func New(eng *sim.Engine, cfg Config) *Bus {
 	if cfg.BytesPerCycle <= 0 {
 		panic("pcie: non-positive bandwidth")
 	}
 	return &Bus{
-		eng:  eng,
-		cfg:  cfg,
-		pipe: [2]*pipe{newPipe(eng, cfg.BytesPerCycle), newPipe(eng, cfg.BytesPerCycle)},
+		eng: eng,
+		cfg: cfg,
+		pipe: [2]*sim.PS{
+			sim.NewPS(eng, math.Inf(1), cfg.BytesPerCycle),
+			sim.NewPS(eng, math.Inf(1), cfg.BytesPerCycle),
+		},
 	}
 }
 
@@ -184,7 +96,7 @@ func (b *Bus) Transfer(p *sim.Proc, d Dir, bytes int) {
 	b.Started[d]++
 	b.BytesRequested[d] += int64(bytes)
 	p.Sleep(b.cfg.Latency)
-	b.pipe[d].transfer(p, bytes)
+	b.pipe[d].Acquire(p, float64(bytes))
 	b.Transfers[d]++
 	b.BytesMoved[d] += int64(bytes)
 }

@@ -17,8 +17,8 @@ import (
 	"math"
 )
 
-// Time is the virtual clock type, in cycles. Fractional cycles arise from the
-// processor-sharing compute model in internal/gpu.
+// Time is the virtual clock type, in cycles. Fractional cycles arise from
+// processor sharing (PS).
 type Time = float64
 
 // Infinity is a timestamp later than any event the engine will ever fire.
@@ -132,7 +132,7 @@ func (e *Engine) ScheduleAt(at Time, fn func()) {
 }
 
 // scheduleProc queues a resume of p at Now()+delay without allocating a
-// closure (the hot Sleep/Wakeup path).
+// closure (the hot Sleep/wakeup path).
 func (e *Engine) scheduleProc(delay Time, p *Proc, gen uint64) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
@@ -256,7 +256,7 @@ func (e *Engine) Pending() int { return len(e.queue) }
 func (e *Engine) LiveProcs() int { return e.procs }
 
 // BlockedProcs returns the names of live processes that have no pending
-// wake-up — the ones parked on a Signal or Block. When Run returns with the
+// wake-up — the ones parked on a Signal or a PS. When Run returns with the
 // queue drained but BlockedProcs is non-empty, those processes are
 // deadlocked; the list is the first thing to print when hunting one.
 func (e *Engine) BlockedProcs() []string {

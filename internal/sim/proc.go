@@ -21,7 +21,7 @@ type Proc struct {
 	// armed reports whether some event/signal is due to resume this proc.
 	armed bool
 	// parked reports the proc is blocked with no scheduled wake-up event
-	// (Block/Signal.Wait) — only an explicit Wakeup can resume it.
+	// (Signal.Wait, PS.Acquire) — only an explicit wakeup can resume it.
 	parked bool
 }
 
@@ -101,19 +101,18 @@ func (p *Proc) Sleep(d Time) {
 	p.yield()
 }
 
-// Block parks the process indefinitely until another party calls Wakeup.
-// Prefer Signal for most uses.
-func (p *Proc) Block() {
+// block parks the process indefinitely until another party calls wakeup.
+func (p *Proc) block() {
 	p.arm()
 	p.parked = true
 	p.yield()
 	p.parked = false
 }
 
-// Wakeup resumes a process parked with Block. It must be called from the
+// wakeup resumes a process parked with block. It must be called from the
 // event loop or another process; the wake-up takes effect via a zero-delay
 // event so ordering stays deterministic.
-func (p *Proc) Wakeup() {
+func (p *Proc) wakeup() {
 	if !p.armed || p.dead {
 		return
 	}

@@ -175,12 +175,12 @@ func TestBlockWakeup(t *testing.T) {
 	var blocked *Proc
 	done := false
 	blocked = e.Spawn("blocked", func(p *Proc) {
-		p.Block()
+		p.block()
 		done = true
 	})
 	e.Spawn("waker", func(p *Proc) {
 		p.Sleep(42)
-		blocked.Wakeup()
+		blocked.wakeup()
 	})
 	e.Run()
 	if !done {
@@ -196,7 +196,7 @@ func TestWakeupOnDeadProcIsNoop(t *testing.T) {
 	p := e.Spawn("short", func(p *Proc) {})
 	e.Spawn("waker", func(q *Proc) {
 		q.Sleep(5)
-		p.Wakeup() // must not panic or deadlock
+		p.wakeup() // must not panic or deadlock
 	})
 	e.Run()
 }
@@ -206,15 +206,15 @@ func TestDoubleWakeupSuppressed(t *testing.T) {
 	count := 0
 	var target *Proc
 	target = e.Spawn("t", func(p *Proc) {
-		p.Block()
+		p.block()
 		count++
 		p.Sleep(100) // arm a new wake-up; stale wakeups must not hit this
 		count++
 	})
 	e.Spawn("w", func(p *Proc) {
 		p.Sleep(1)
-		target.Wakeup()
-		target.Wakeup() // second wake-up is stale
+		target.wakeup()
+		target.wakeup() // second wake-up is stale
 	})
 	e.Run()
 	if count != 2 {

@@ -19,17 +19,17 @@ type Signal struct {
 // re-checked.
 func (s *Signal) Wait(p *Proc) {
 	s.waiters = append(s.waiters, p)
-	p.Block()
+	p.block()
 }
 
 // Broadcast wakes every current waiter. Processes that start waiting after
-// the call are not affected. Wakeup only schedules, so no waiter runs (or
+// the call are not affected. A wake-up only schedules, so no waiter runs (or
 // re-waits) during the loop, and the waiter list keeps its backing array: a
 // signal that is waited on and broadcast once per task does not allocate
 // per task.
 func (s *Signal) Broadcast() {
 	for i, p := range s.waiters {
-		p.Wakeup()
+		p.wakeup()
 		s.waiters[i] = nil
 	}
 	s.waiters = s.waiters[:0]
@@ -43,7 +43,7 @@ func (s *Signal) Pulse() bool {
 	}
 	p := s.waiters[0]
 	s.waiters = s.waiters[1:]
-	p.Wakeup()
+	p.wakeup()
 	return true
 }
 

@@ -3,9 +3,9 @@ package sim
 // Timer is a cancellable, re-armable one-shot timer. Unlike raw Schedule
 // calls, a Timer can be Stopped or re-Reset before it fires. The timer owns a
 // single indexed entry in the engine's event heap: ResetAt re-keys that entry
-// in place and Stop removes it, so rearm-heavy users (the processor-sharing
-// resources in internal/gpu and internal/pcie) leave no stale events behind
-// and Engine.Pending stays proportional to live timers, not total Resets.
+// in place and Stop removes it, so rearm-heavy users (PS) leave no stale
+// events behind and Engine.Pending stays proportional to live timers, not
+// total Resets.
 type Timer struct {
 	eng *Engine
 	fn  func()

@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: check fmt lint test vet race race-harness perf perf-quick perf-update bench-engine bench-serve bench-cluster
+.PHONY: check fmt lint test vet race race-harness perf perf-quick perf-update digests bench-engine bench-serve bench-cluster
 
 # check is the pre-merge gate, in order: gofmt, the determinism analyzers
 # (pagodavet), go vet, the full test suite, race detection across the
-# internal tree, and the quick tier of the perf-regression gate (pagodaperf
-# against the BENCH_*.json baselines). fmt and lint run first so an
-# unformatted file, a wall-clock read or a stray goroutine fails the build
-# before anything expensive starts.
-check: fmt lint vet test race perf-quick
+# internal tree, the quick tier of the perf-regression gate (pagodaperf
+# against the BENCH_*.json baselines) and the benchmark's output digests.
+# fmt and lint run first so an unformatted file, a wall-clock read or a stray
+# goroutine fails the build before anything expensive starts.
+check: fmt lint vet test race perf-quick digests
 
 # fmt fails when any Go file in the tree (simbench included) is not
 # gofmt-clean, and lists the offenders.
@@ -65,6 +65,17 @@ perf-quick:
 
 perf-update:
 	$(GO) run ./cmd/pagodaperf -update
+
+# digests runs the benchmark's three workloads for one second each at seed
+# 1, where simbench/digests.json pins every simulated output, and fails
+# unless each run reports "failed":0. run.sh exits 0 even when outputs miss
+# their digests, so the target reads the report instead of the exit code.
+digests:
+	@for w in batch tenants fleet; do \
+		out="$$(bash simbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0)" || exit 1; \
+		case "$$out" in *'"failed":0,'*) echo "digests: $$w ok" ;; \
+		*) echo "digests: $$w failed its checks: $$out"; exit 1 ;; esac; \
+	done
 
 bench-engine:
 	$(GO) test -bench=BenchmarkEngine -benchtime=1x -run='^$$' ./internal/sim/ .

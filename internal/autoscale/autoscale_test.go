@@ -17,10 +17,10 @@ type stubNode struct {
 	closed bool
 }
 
-func (s *stubNode) Name() string              { return s.name }
-func (s *stubNode) View() cluster.NodeView    { return s.view }
-func (s *stubNode) Submit(_ *sim.Proc, _ int) { s.view.Routed++ }
-func (s *stubNode) Close()                    { s.closed = true }
+func (s *stubNode) Name() string           { return s.name }
+func (s *stubNode) View() cluster.NodeView { return s.view }
+func (s *stubNode) Submit(int)             { s.view.Routed++ }
+func (s *stubNode) Close()                 { s.closed = true }
 
 // stubFleet builds a fleet over stub nodes and returns both, with a small
 // deterministic lifecycle configuration unless overridden.

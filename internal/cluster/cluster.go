@@ -61,10 +61,10 @@ type Node interface {
 	// node's view at each arrival instant and hands the slice to the policy.
 	View() NodeView
 
-	// Submit hands task ti to the node at p's current virtual time. It must
-	// not block past the instant — nodes queue internally — so a saturated
-	// node can never head-of-line-block dispatch to its siblings.
-	Submit(p *sim.Proc, ti int)
+	// Submit hands task ti to the node at the engine's current virtual
+	// time. It cannot block — nodes queue internally — so a saturated node
+	// can never head-of-line-block dispatch to its siblings.
+	Submit(ti int)
 
 	// Close signals that no further Submit calls will come; the node drains
 	// its queue, waits out in-flight work and shuts its scheme down.

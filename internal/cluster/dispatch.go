@@ -131,7 +131,7 @@ func (d Dispatcher) Spawn(eng *sim.Engine, recs []serve.Record, nodeOf []int) {
 				panic(fmt.Sprintf("cluster: policy %s picked node %d of %d", pol.Name(), n, len(nodes)))
 			}
 			nodeOf[ti] = ids[n]
-			nodes[n].Submit(p, ti)
+			nodes[n].Submit(ti)
 		}
 		d.Fleet.CloseAll()
 	})

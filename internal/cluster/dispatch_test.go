@@ -11,6 +11,7 @@ import (
 // the spot (after an optional fixed service delay via deferred events would
 // complicate ordering; instant service keeps routing the only variable).
 type fakeNode struct {
+	eng     *sim.Engine
 	name    string
 	view    NodeView
 	order   []int // task indexes in submission order
@@ -23,9 +24,9 @@ func (f *fakeNode) Name() string   { return f.name }
 func (f *fakeNode) View() NodeView { return f.view }
 func (f *fakeNode) Close()         { f.closed = true }
 
-func (f *fakeNode) Submit(p *sim.Proc, ti int) {
+func (f *fakeNode) Submit(ti int) {
 	f.order = append(f.order, ti)
-	f.at = append(f.at, p.Now())
+	f.at = append(f.at, f.eng.Now())
 	f.view.Routed++
 	if f.pending > 0 {
 		f.pending-- // leave outstanding to steer load-aware policies
@@ -35,21 +36,20 @@ func (f *fakeNode) Submit(p *sim.Proc, ti int) {
 	f.view.Done++
 }
 
-func fleet(n int) ([]*fakeNode, Fleet) {
+func fleet(eng *sim.Engine, n int) ([]*fakeNode, Fleet) {
 	fakes := make([]*fakeNode, n)
 	nodes := make([]Node, n)
 	for i := range fakes {
-		fakes[i] = &fakeNode{name: string(rune('a' + i))}
+		fakes[i] = &fakeNode{eng: eng, name: string(rune('a' + i))}
 		nodes[i] = fakes[i]
 	}
 	return fakes, Static(nodes)
 }
 
-func runDispatch(t *testing.T, d Dispatcher, n int) ([]serve.Record, []int) {
+func runDispatch(t *testing.T, eng *sim.Engine, d Dispatcher, n int) ([]serve.Record, []int) {
 	t.Helper()
 	recs := make([]serve.Record, n)
 	nodeOf := make([]int, n)
-	eng := sim.New()
 	d.Spawn(eng, recs, nodeOf)
 	eng.Run()
 	return recs, nodeOf
@@ -58,8 +58,9 @@ func runDispatch(t *testing.T, d Dispatcher, n int) ([]serve.Record, []int) {
 func TestDispatcherRoutesRoundRobinAtArrivalInstants(t *testing.T) {
 	const n = 9
 	arr := serve.FixedRate{Rate: 1e6}.Times(n)
-	fakes, fl := fleet(3)
-	recs, nodeOf := runDispatch(t, Dispatcher{Arrivals: arr, Fleet: fl}, n)
+	eng := sim.New()
+	fakes, fl := fleet(eng, 3)
+	recs, nodeOf := runDispatch(t, eng, Dispatcher{Arrivals: arr, Fleet: fl}, n)
 
 	for ti := 0; ti < n; ti++ {
 		if nodeOf[ti] != ti%3 {
@@ -90,9 +91,10 @@ func TestDispatcherRoutesRoundRobinAtArrivalInstants(t *testing.T) {
 func TestDispatcherLeastOutstandingAvoidsStuckNode(t *testing.T) {
 	const n = 12
 	arr := serve.FixedRate{Rate: 1e6}.Times(n)
-	fakes, fl := fleet(2)
+	eng := sim.New()
+	fakes, fl := fleet(eng, 2)
 	fakes[0].pending = n // node 0 never completes anything
-	_, nodeOf := runDispatch(t, Dispatcher{Arrivals: arr, Fleet: fl, Policy: LeastOutstanding{}}, n)
+	_, nodeOf := runDispatch(t, eng, Dispatcher{Arrivals: arr, Fleet: fl, Policy: LeastOutstanding{}}, n)
 
 	// First arrival ties (both idle) -> node 0; every later arrival must see
 	// node 0's outstanding pile and go to node 1.
@@ -110,8 +112,9 @@ func TestDispatcherClassesReachAffinity(t *testing.T) {
 	const n = 8
 	arr := serve.FixedRate{Rate: 1e6}.Times(n)
 	classes := []int{0, 1, 2, 3, 0, 1, 2, 3}
-	_, fl := fleet(4)
-	_, nodeOf := runDispatch(t, Dispatcher{Arrivals: arr, Classes: classes, Fleet: fl, Policy: ClassAffinity{}}, n)
+	eng := sim.New()
+	_, fl := fleet(eng, 4)
+	_, nodeOf := runDispatch(t, eng, Dispatcher{Arrivals: arr, Classes: classes, Fleet: fl, Policy: ClassAffinity{}}, n)
 	for ti, c := range classes {
 		if nodeOf[ti] != c {
 			t.Errorf("task %d class %d routed to node %d", ti, c, nodeOf[ti])
@@ -120,7 +123,7 @@ func TestDispatcherClassesReachAffinity(t *testing.T) {
 }
 
 func TestDispatcherValidate(t *testing.T) {
-	_, fl := fleet(2)
+	_, fl := fleet(sim.New(), 2)
 	cases := []struct {
 		name string
 		d    Dispatcher

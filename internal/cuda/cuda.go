@@ -32,9 +32,6 @@ type Config struct {
 	// per-task cost when thousands of narrow kernels are launched (the
 	// effect Pagoda's 1-memcpy taskSpawn avoids).
 	LaunchCPUCost sim.Time
-	// DeviceMemBytes sizes the device heap for Malloc/Free (12 GB on the
-	// Titan X).
-	DeviceMemBytes int64
 	// CopyIssueGap is the minimum spacing between successive DMA transfers
 	// issued by one stream. Unlike plain MemcpyH2D, pipelined copies overlap
 	// their PCIe latency: the DMA engine issues the next transfer as soon as
@@ -50,7 +47,6 @@ func DefaultConfig() Config {
 		EnqueueCost:    600,  // ~0.6 us per async copy call
 		LaunchCPUCost:  1600, // ~1.6 us host-side per kernel launch
 		CopyIssueGap:   400,  // ~0.4 us between small pipelined DMA issues
-		DeviceMemBytes: 12 << 30,
 	}
 }
 
@@ -63,7 +59,6 @@ type Context struct {
 
 	hyperQ  *sim.Sem
 	streams []*Stream
-	mem     *allocator
 
 	// KernelsLaunched counts kernels that reached the device (diagnostics).
 	KernelsLaunched int

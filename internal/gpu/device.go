@@ -36,7 +36,6 @@ type Kernel struct {
 	tbsDone  int
 	finished bool
 	doneSig  sim.Signal
-	onDone   []func()
 
 	StartTime sim.Time // first threadblock dispatched
 	EndTime   sim.Time // last threadblock completed
@@ -51,16 +50,6 @@ func (k *Kernel) WaitDone(p *sim.Proc) {
 	for !k.finished {
 		k.doneSig.Wait(p)
 	}
-}
-
-// OnDone registers fn to run (on the event loop) when the kernel finishes.
-// If the kernel already finished, fn runs immediately.
-func (k *Kernel) OnDone(fn func()) {
-	if k.finished {
-		fn()
-		return
-	}
-	k.onDone = append(k.onDone, fn)
 }
 
 // threadBlock is one block of a kernel pending dispatch or resident on an
@@ -323,10 +312,6 @@ func (d *Device) warpDone(tb *threadBlock) {
 			})
 		}
 		k.doneSig.Broadcast()
-		for _, fn := range k.onDone {
-			fn()
-		}
-		k.onDone = nil
 	}
 	d.tryDispatch()
 }

@@ -42,6 +42,7 @@ type Pool struct {
 	notEmpty sim.Signal
 	pending  int // queued + running tasks
 	idle     sim.Signal
+	closed   bool
 
 	// TasksRun counts completed tasks.
 	TasksRun int
@@ -65,6 +66,9 @@ func (p *Pool) Config() Config { return p.cfg }
 func (p *Pool) worker(proc *sim.Proc) {
 	for {
 		for len(p.queue) == 0 {
+			if p.closed {
+				return
+			}
 			p.notEmpty.Wait(proc)
 		}
 		t := p.queue[0]
@@ -95,6 +99,13 @@ func (p *Pool) WaitAll(host *sim.Proc) {
 	for p.pending > 0 {
 		p.idle.Wait(host)
 	}
+}
+
+// Close tells the workers no more tasks will come: each exits once it finds
+// the queue empty, so a finished run leaves no worker parked.
+func (p *Pool) Close() {
+	p.closed = true
+	p.notEmpty.Broadcast()
 }
 
 // Pending returns queued + running task count.

@@ -62,6 +62,7 @@ func RunOSSched(eng *sim.Engine, cfg Config, tasks []Task) SchemeResult {
 		}
 		pool.WaitAll(p)
 		end = eng.Now()
+		pool.Close()
 	})
 	eng.Run()
 	return SchemeResult{Scheme: "OS-sched", Elapsed: end}
@@ -104,6 +105,7 @@ func RunPThreadsScheme(eng *sim.Engine, cfg Config, tasks []Task) SchemeResult {
 		}
 		pool.WaitAll(p)
 		end = eng.Now()
+		pool.Close()
 	})
 	eng.Run()
 	return SchemeResult{Scheme: "PThreads", Elapsed: end}

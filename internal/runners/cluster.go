@@ -246,6 +246,24 @@ func runFleet(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config,
 	return res, cr
 }
 
+// runBatch is the closed loop of the schemes whose host path is their node:
+// one node on a fresh engine, with every task submitted in index order and
+// the node closed before the clock starts. It returns the node, its records
+// and a Result holding Elapsed and the node's device metrics; the caller
+// adds its scheme's latency notion.
+func runBatch(tasks []workloads.TaskDef, cfg Config, newNode newNodeFunc) (node, []serve.Record, Result) {
+	eng := sim.New()
+	recs := make([]serve.Record, len(tasks))
+	n := newNode(eng, "batch", tasks, recs, cfg)
+	for ti := range tasks {
+		n.Submit(ti)
+	}
+	n.Close()
+	end := eng.Run()
+	occ, iu := n.devMetrics(end)
+	return n, recs, Result{Elapsed: end, Occupancy: occ, IssueUtil: iu}
+}
+
 // nodeBase carries the accounting and admission state every node shares.
 // All fields are touched only under the engine baton.
 type nodeBase struct {

@@ -23,46 +23,18 @@ import (
 //
 // GeMTC has no shared-memory support ("the GeMTC versions do not use shared
 // memory"), so tasks run with HasShared()==false regardless of their spec.
+//
+// The closed loop is the serving node with every task queued up front, so
+// the tasks launch in index order, batch by batch. Batch semantics make a
+// task available to the host only when its whole batch is (the latency
+// property of Fig. 10): its latency is the batch's round trip.
 func RunGeMTC(tasks []workloads.TaskDef, cfg Config) Result {
-	sys := newSystem(cfg)
-	batchCap := gemtcBatchCap(cfg)
-	sk := newSuperKernel(sys, tasks, cfg)
-
-	lats := make([]sim.Time, 0, len(tasks))
-
-	var endTime sim.Time
-	sys.eng.Spawn("gemtc-host", func(p *sim.Proc) {
-		stream := sys.ctx.NewStream()
-		batch := make([]int, 0, min(batchCap, len(tasks)))
-		for lo := 0; lo < len(tasks); lo += batchCap {
-			hi := lo + batchCap
-			if hi > len(tasks) {
-				hi = len(tasks)
-			}
-			batch = batch[:0]
-			for ti := lo; ti < hi; ti++ {
-				batch = append(batch, ti)
-			}
-			spawnTime := sys.eng.Now()
-			sk.run(p, stream, batch)
-			batchEnd := sys.eng.Now()
-			for range batch {
-				// Batch semantics: a task is only available to the host when
-				// the whole batch is (the latency property of Fig. 10).
-				lats = append(lats, batchEnd-spawnTime)
-			}
-		}
-		endTime = sys.eng.Now()
-	})
-	sys.eng.Run()
-
-	m := sys.dev.Metrics()
-	r := Result{
-		Elapsed:   endTime,
-		Occupancy: m.AvgOccupancy,
-		IssueUtil: m.IssueUtil,
-		Tasks:     len(lats),
+	_, recs, r := runBatch(tasks, cfg, newGeMTCNode)
+	lats := make([]sim.Time, len(recs))
+	for i, rec := range recs {
+		lats[i] = rec.Done - rec.Start
 	}
+	r.Tasks = len(lats)
 	r.fillLatencies(lats)
 	return r
 }
@@ -89,13 +61,9 @@ type superKernel struct {
 func newSuperKernel(sys *system, tasks []workloads.TaskDef, cfg Config) *superKernel {
 	// Worker threadblock width: the evaluation uses the task's thread count
 	// (uniform within a benchmark run; for mixes, the maximum).
-	threads := cfg.GeMTCThreads
-	if threads <= 0 {
-		for i := range tasks {
-			if tasks[i].Threads > threads {
-				threads = tasks[i].Threads
-			}
-		}
+	threads := 0
+	for i := range tasks {
+		threads = max(threads, tasks[i].Threads)
 	}
 	if threads == 0 {
 		threads = 128
@@ -181,14 +149,15 @@ func (k *superKernel) run(p *sim.Proc, stream *cuda.Stream, batch []int) {
 	}
 }
 
-// gemtcNode is GeMTC's serving host path: one SuperKernel device behind the
-// dispatcher. Admission is consulted at the arrival instant (the host-side
-// submit never blocks), admitted tasks join the node's FIFO, and a dispatch
-// proc launches a SuperKernel over the queue's contents (up to the batch
-// cap) whenever the device is free. A task's Start is its batch's launch and
-// its Done the whole batch's end, so under sparse traffic a task pays the
-// batch round-trip alone and under bursts it waits for stragglers — the
-// latency property Fig. 10 contrasts with.
+// gemtcNode is GeMTC's host path: one SuperKernel device, behind the
+// dispatcher when serving and with every task queued up front in the closed
+// loop. Admission is consulted at the arrival instant (the host-side submit
+// never blocks), admitted tasks join the node's FIFO, and a dispatch proc
+// launches a SuperKernel over the queue's contents (up to the batch cap)
+// whenever the device is free. A task's Start is its batch's launch and its
+// Done the whole batch's end, so under sparse traffic a task pays the batch
+// round-trip alone and under bursts it waits for stragglers — the latency
+// property Fig. 10 contrasts with.
 type gemtcNode struct {
 	nodeBase
 	sys     *system
@@ -212,9 +181,9 @@ func newGeMTCNode(eng *sim.Engine, name string, tasks []workloads.TaskDef,
 	return n
 }
 
-func (n *gemtcNode) Submit(p *sim.Proc, ti int) {
+func (n *gemtcNode) Submit(ti int) {
 	n.view.Routed++
-	if !n.admitNow(ti, p.Now()) {
+	if !n.admitNow(ti, n.sys.eng.Now()) {
 		n.recs[ti].Dropped = true
 		n.view.Dropped++
 		return

@@ -37,7 +37,6 @@ func runKernelPerTask(tasks []workloads.TaskDef, cfg Config, ov gpu.Oversub) Res
 		streams[i] = sys.ctx.NewStream()
 	}
 
-	spawners := cfg.spawners()
 	parts := splitRoundRobin(tasks, spawners)
 
 	lats := make([]sim.Time, 0, len(tasks))
@@ -49,7 +48,6 @@ func runKernelPerTask(tasks []workloads.TaskDef, cfg Config, ov gpu.Oversub) Res
 		sys.eng.Spawn(fmt.Sprintf("hq-host%d", s), func(p *sim.Proc) {
 			var handles []*cuda.KernelHandle
 			var spawnTimes []sim.Time
-			var outs []int
 			for _, ti := range parts[s] {
 				td := &tasks[ti]
 				stream := streams[ti%numStreams]
@@ -60,7 +58,6 @@ func runKernelPerTask(tasks []workloads.TaskDef, cfg Config, ov gpu.Oversub) Res
 				h := stream.Launch(p, hyperqSpec(td))
 				if cfg.CopyData && td.OutBytes > 0 {
 					stream.MemcpyD2H(p, td.OutBytes, nil)
-					outs = append(outs, td.OutBytes)
 				}
 				handles = append(handles, h)
 			}
@@ -174,7 +171,7 @@ func newKernelPerTaskNode(eng *sim.Engine, name string, tasks []workloads.TaskDe
 	return n
 }
 
-func (n *hyperqNode) Submit(_ *sim.Proc, ti int) {
+func (n *hyperqNode) Submit(ti int) {
 	n.view.Routed++
 	n.queue.push(ti)
 	n.more.Broadcast()

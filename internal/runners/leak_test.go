@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/serve"
+	"repro/internal/workloads"
 )
 
 // settledGoroutines polls runtime.NumGoroutine for up to about two seconds
@@ -23,9 +24,9 @@ func settledGoroutines(want int) int {
 }
 
 // TestRunsEndClean runs every registered scheme's closed loop, open loop,
-// fixed fleet and autoscaled fleet several times and checks that the
-// goroutine count returns to where it started: no run leaves a parked
-// process behind.
+// fixed fleet and autoscaled fleet, and the static-fusion and PThreads
+// closed loops, several times and checks that the goroutine count returns
+// to where it started: no run leaves a parked process behind.
 func TestRunsEndClean(t *testing.T) {
 	const n, runs = 32, 3
 	tasks := clusterTestTasks(t, n)
@@ -48,6 +49,16 @@ func TestRunsEndClean(t *testing.T) {
 		if got := settledGoroutines(start); got > start {
 			t.Errorf("%s: %d goroutines after %d runs of each mode, want %d as at the start",
 				sc.Key, got, runs, start)
+		}
+	}
+	for name, run := range map[string]func(tasks []workloads.TaskDef, cfg Config) Result{
+		"fusion": RunFusion, "pthreads": RunPThreads,
+	} {
+		for i := 0; i < runs; i++ {
+			run(tasks, cfg)
+		}
+		if got := settledGoroutines(start); got > start {
+			t.Errorf("%s: %d goroutines after %d runs, want %d as at the start", name, got, runs, start)
 		}
 	}
 }

@@ -11,93 +11,16 @@ import (
 	"repro/internal/workloads"
 )
 
-// RunPagoda executes the task stream on the Pagoda runtime: spawner threads
-// copy each task's input asynchronously and call taskSpawn immediately (the
+// RunPagoda executes the task stream on the Pagoda runtime: the serving node
+// with every task queued before the clock starts. Spawner threads copy each
+// task's input asynchronously and call taskSpawn immediately (the
 // continuous-spawning model of Fig. 1a); output copies are enqueued as the
 // host observes completions through the lazy copy-back protocol; waitAll
 // drains the tail.
 func RunPagoda(tasks []workloads.TaskDef, cfg Config) Result {
-	sys := newSystem(cfg)
-	ccfg := core.DefaultConfig()
-	if cfg.PagodaBatching {
-		ccfg.Batching = true
-		if cfg.GeMTCBatch > 0 {
-			ccfg.BatchSize = cfg.GeMTCBatch // "same batch size as GeMTC's"
-		}
-	}
-	rt := core.NewRuntime(sys.ctx, ccfg)
-
-	spawners := cfg.spawners()
-	parts := splitRoundRobin(tasks, spawners)
-
-	// Output copies chain off host-observed completions: when a copy-back
-	// reveals a finished task, its D2H output transfer goes on the wire,
-	// overlapping with ongoing compute.
-	outBytes := make(map[core.TaskID]int, len(tasks))
-	if cfg.CopyData {
-		rt.OnHostObservedDone = func(id core.TaskID) {
-			if b := outBytes[id]; b > 0 {
-				delete(outBytes, id)
-				sys.bus.TransferAsync(pcie.DeviceToHost, b, nil)
-			}
-		}
-	}
-
-	// A collector thread polls the TaskTable so completions (and therefore
-	// output copies) are observed while compute is still in flight — the
-	// Fig. 1a pattern of a nested wait()+memcpy task per spawned task.
-	allSpawned := false
-	if cfg.CopyData {
-		sys.eng.Spawn("collector", func(p *sim.Proc) {
-			for {
-				p.Sleep(64_000) // 64 us polling cadence
-				if allSpawned && len(outBytes) == 0 {
-					return
-				}
-				rt.PollCompletions(p)
-			}
-		})
-	}
-
-	streams := make([]*cuda.Stream, spawners)
-	finished := 0
-	for s := 0; s < spawners; s++ {
-		s := s
-		streams[s] = sys.ctx.NewStream()
-		sys.eng.Spawn(fmt.Sprintf("spawner%d", s), func(p *sim.Proc) {
-			for _, ti := range parts[s] {
-				td := &tasks[ti]
-				if cfg.CopyData && td.InBytes > 0 {
-					streams[s].MemcpyH2DPipelined(p, td.InBytes, nil)
-				}
-				id := rt.TaskSpawn(p, pagodaSpec(td))
-				if cfg.CopyData && td.OutBytes > 0 {
-					outBytes[id] = td.OutBytes
-				}
-			}
-			finished++
-			if finished < spawners {
-				return
-			}
-			// The last spawner to finish drains everything.
-			allSpawned = true
-			rt.WaitAll(p)
-			for _, st := range streams {
-				st.Sync(p)
-			}
-			rt.Shutdown(p)
-		})
-	}
-	end := sys.eng.Run()
-
-	st := rt.Stats()
-	m := sys.dev.Metrics()
-	r := Result{
-		Elapsed:   end,
-		Occupancy: rt.TaskWarpOccupancy(end),
-		IssueUtil: m.IssueUtil,
-		Tasks:     st.Completed,
-	}
+	n, _, r := runBatch(tasks, cfg, newPagodaNode)
+	rt := n.(*pagodaNode).rt
+	r.Tasks = rt.Stats().Completed
 	r.fillLatencies(rt.Latencies())
 	return r
 }
@@ -114,14 +37,14 @@ func pagodaSpec(td *workloads.TaskDef) core.TaskSpec {
 	}
 }
 
-// pagodaNode is Pagoda's serving host path: one runtime behind the
-// dispatcher. Its feeder procs play the closed loop's spawner threads:
-// tasks are dealt to feeders round-robin in routing order (the serving
-// analogue of splitRoundRobin), each feeder consults admission and spawns
-// continuously through its own stream, and the last feeder to drain shuts
-// the runtime down. Per-task Start is the instant the scheduler warp picked
-// the task up and Done its device-side completion, both observed through the
-// runtime's OnTaskDone hook rather than host polling.
+// pagodaNode is Pagoda's host path, behind the dispatcher when serving and
+// with every task queued up front in the closed loop. Its feeder procs are
+// the paper's spawner threads: tasks are dealt to feeders round-robin in
+// routing order, each feeder consults admission and spawns continuously
+// through its own stream, and the last feeder to drain shuts the runtime
+// down. Per-task Start is the instant the scheduler warp picked the task up
+// and Done its device-side completion, both observed through the runtime's
+// OnTaskDone hook rather than host polling.
 type pagodaNode struct {
 	nodeBase
 	sys     *system
@@ -150,7 +73,14 @@ func newPagodaNode(eng *sim.Engine, name string, tasks []workloads.TaskDef,
 		idxOf:    map[core.TaskID]int{},
 		outBytes: map[core.TaskID]int{},
 	}
-	n.rt = core.NewRuntime(n.sys.ctx, core.DefaultConfig())
+	ccfg := core.DefaultConfig()
+	if cfg.PagodaBatching {
+		ccfg.Batching = true
+		if cfg.GeMTCBatch > 0 {
+			ccfg.BatchSize = cfg.GeMTCBatch // "same batch size as GeMTC's"
+		}
+	}
+	n.rt = core.NewRuntime(n.sys.ctx, ccfg)
 	n.rt.OnTaskDone = func(id core.TaskID, _, sched, end sim.Time) {
 		ti, ok := n.idxOf[id]
 		if !ok {
@@ -162,9 +92,10 @@ func newPagodaNode(eng *sim.Engine, name string, tasks []workloads.TaskDef,
 		n.noteDone(ti)
 	}
 
-	// Output copies chain off host-observed completions exactly as in the
-	// closed loop: a collector polls the TaskTable so D2H transfers overlap
-	// ongoing compute.
+	// Output copies chain off host-observed completions: a collector polls
+	// the TaskTable so completions (and therefore D2H transfers) are
+	// observed while compute is still in flight — the Fig. 1a pattern of a
+	// nested wait()+memcpy task per spawned task.
 	if cfg.CopyData {
 		n.rt.OnHostObservedDone = func(id core.TaskID) {
 			if b := n.outBytes[id]; b > 0 {
@@ -174,7 +105,7 @@ func newPagodaNode(eng *sim.Engine, name string, tasks []workloads.TaskDef,
 		}
 		eng.Spawn(name+"-collector", func(p *sim.Proc) {
 			for {
-				p.Sleep(64_000) // 64 us polling cadence, as in the closed loop
+				p.Sleep(64_000) // 64 us polling cadence
 				if n.allSpawned && len(n.outBytes) == 0 {
 					return
 				}
@@ -183,7 +114,6 @@ func newPagodaNode(eng *sim.Engine, name string, tasks []workloads.TaskDef,
 		})
 	}
 
-	spawners := cfg.spawners()
 	n.queues = make([]fifo, spawners)
 	n.more = make([]sim.Signal, spawners)
 	n.streams = make([]*cuda.Stream, spawners)
@@ -195,7 +125,7 @@ func newPagodaNode(eng *sim.Engine, name string, tasks []workloads.TaskDef,
 	return n
 }
 
-func (n *pagodaNode) Submit(_ *sim.Proc, ti int) {
+func (n *pagodaNode) Submit(ti int) {
 	f := n.view.Routed % len(n.queues)
 	n.view.Routed++
 	n.queues[f].push(ti)

@@ -9,40 +9,26 @@ import (
 // RunPThreads executes the task stream on the simulated 20-core CPU with a
 // PThreads-style worker pool — the paper's best-performing CPU scheme
 // ("PThreads obtained the best results"). No PCIe copies are involved.
-func RunPThreads(tasks []workloads.TaskDef, cfg Config) Result {
-	eng := sim.New()
-	hcfg := hostcpu.Xeon20()
-	if cfg.CPUCores > 0 {
-		hcfg.Cores = cfg.CPUCores
+func RunPThreads(tasks []workloads.TaskDef, _ Config) Result {
+	hts := make([]hostcpu.Task, len(tasks))
+	for i := range tasks {
+		hts[i] = hostcpu.Task{Cycles: tasks[i].CPUCycles, Fn: tasks[i].CPURun}
 	}
-	pool := hostcpu.NewPool(eng, hcfg)
+	endTime := hostcpu.RunPThreadsScheme(sim.New(), hostcpu.Xeon20(), hts).Elapsed
 
+	// Mean latency under a work-conserving pool is approximated as half the
+	// makespan; the paper's latency figure (Fig. 10) compares only Pagoda and
+	// static fusion, so this bound is never plotted.
 	var latSum float64
 	var latMax sim.Time
-	var endTime sim.Time
-	eng.Spawn("pt-host", func(p *sim.Proc) {
-		for i := range tasks {
-			td := &tasks[i]
-			pool.Submit(p, hostcpu.Task{
-				Cycles: td.CPUCycles,
-				Fn:     td.CPURun,
-			})
+	for range tasks {
+		latSum += endTime / 2
+		if endTime > latMax {
+			latMax = endTime
 		}
-		pool.WaitAll(p)
-		endTime = eng.Now()
-		// Mean latency under a work-conserving pool is approximated as half
-		// the makespan; the paper's latency figure (Fig. 10) compares only
-		// Pagoda and static fusion, so this bound is never plotted.
-		for range tasks {
-			latSum += endTime / 2
-			if endTime > latMax {
-				latMax = endTime
-			}
-		}
-	})
-	eng.Run()
+	}
 
-	r := Result{Elapsed: endTime, MaxLatency: latMax, Tasks: pool.TasksRun}
+	r := Result{Elapsed: endTime, MaxLatency: latMax, Tasks: len(tasks)}
 	if len(tasks) > 0 {
 		r.AvgLatency = latSum / float64(len(tasks))
 		// The half-makespan approximation has no tail information; report it

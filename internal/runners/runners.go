@@ -32,18 +32,10 @@ import (
 // Config parameterizes a run.
 type Config struct {
 	SMMs     int  // device size (default 24)
-	Spawners int  // host threads feeding tasks (paper: 2)
 	CopyData bool // include per-task input/output PCIe copies
 
 	// GeMTCBatch is the FIFO batch size (tasks per SuperKernel launch).
 	GeMTCBatch int
-	// GeMTCThreads is the SuperKernel worker threadblock width; 0 uses each
-	// task's own thread count (the paper's "modified" GeMTC).
-	GeMTCThreads int
-
-	// FusedThreads is the uniform per-subtask thread count under static
-	// fusion (paper: 256).
-	FusedThreads int
 
 	// PagodaBatching enables the Fig. 11 ablation.
 	PagodaBatching bool
@@ -54,20 +46,17 @@ type Config struct {
 	// scheme default (gpu.DefaultOversub), while explicit unity factors
 	// make zorua admit exactly like the static hardware model.
 	Oversub gpu.Oversub
-
-	// CPUCores sizes the PThreads pool (paper: 20).
-	CPUCores int
 }
+
+// spawners is the number of host threads feeding tasks (paper: 2).
+const spawners = 2
 
 // DefaultConfig returns the paper's experimental setup.
 func DefaultConfig() Config {
 	return Config{
-		SMMs:         24,
-		Spawners:     2,
-		CopyData:     true,
-		GeMTCBatch:   384, // GeMTC's worker count at 128 threads/TB on 24 SMMs
-		FusedThreads: 256,
-		CPUCores:     20,
+		SMMs:       24,
+		CopyData:   true,
+		GeMTCBatch: 384, // GeMTC's worker count at 128 threads/TB on 24 SMMs
 	}
 }
 
@@ -133,14 +122,6 @@ func newSystemOn(eng *sim.Engine, cfg Config) *system {
 	bus := pcie.New(eng, pcie.Default())
 	ctx := cuda.NewContext(eng, dev, bus, cuda.DefaultConfig())
 	return &system{eng: eng, dev: dev, bus: bus, ctx: ctx}
-}
-
-// spawners resolves the host thread count: Spawners, at least one.
-func (c Config) spawners() int {
-	if c.Spawners <= 0 {
-		return 1
-	}
-	return c.Spawners
 }
 
 // splitRoundRobin deals tasks to n spawners preserving arrival order within

@@ -9,7 +9,7 @@ import (
 // randsourceBanned are the RNG packages whose default sources are either
 // auto-seeded (math/rand since Go 1.20, math/rand/v2 always) or genuinely
 // nondeterministic (crypto/rand). Simulation inputs must come from an
-// explicitly seeded PRNG owned by the workload, like workloads.xorshift.
+// explicitly seeded PRNG, like sim.Rand.
 var randsourceBanned = map[string]bool{
 	"math/rand":    true,
 	"math/rand/v2": true,
@@ -21,7 +21,7 @@ var randsourceBanned = map[string]bool{
 // suppression there covers every use in the file.
 var Randsource = &analysis.Analyzer{
 	Name:      "randsource",
-	Doc:       "forbid math/rand and crypto/rand in simulation code; use a seeded deterministic PRNG (workloads.xorshift)",
+	Doc:       "forbid math/rand and crypto/rand in simulation code; use a seeded deterministic PRNG (sim.Rand)",
 	AppliesTo: inSimScope,
 	Run: func(pass *analysis.Pass) {
 		for _, f := range pass.Files {
@@ -31,7 +31,7 @@ var Randsource = &analysis.Analyzer{
 					continue
 				}
 				pass.Reportf(imp.Pos(),
-					"import of %s in simulation code; draw inputs from an explicitly seeded deterministic PRNG (e.g. workloads.xorshift)",
+					"import of %s in simulation code; draw inputs from an explicitly seeded deterministic PRNG (e.g. sim.Rand)",
 					path)
 			}
 		}

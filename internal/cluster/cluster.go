@@ -11,13 +11,12 @@
 // The package deliberately knows nothing about Pagoda, HyperQ or GeMTC: a
 // node is anything implementing Node (internal/runners provides one node type
 // per scheme, its only serving implementation), a Policy picks a node per
-// arrival from the dispatcher-visible NodeViews, and per-node admission
-// stays inside the node (reusing serve.Policy) at the scheme's own
-// presentation point. A scheme's single-device open loop is a 1-node
+// arrival from the dispatcher-visible NodeViews, and admission stays inside
+// the node as one hook consulted at the scheme's own presentation point. A scheme's single-device open loop is a 1-node
 // round-robin fleet, so the two agree by construction.
 //
 // Determinism rules: the only pseudo-randomness is the explicitly seeded
-// xorshift behind PowerOfTwo (the randsource rule); policies break ties by
+// sim.Rand behind PowerOfTwo (the randsource rule); policies break ties by
 // lowest node index; no wall clock, map iteration or raw goroutines appear
 // anywhere in the fleet path.
 package cluster

@@ -16,9 +16,9 @@ type Task struct {
 
 // A Policy picks the node for one arriving task from the fleet's current
 // NodeViews. Policies may keep state (RoundRobin's cursor, PowerOfTwo's
-// RNG); a fresh policy must be constructed per run, exactly like
-// serve.Policy. Ties always break toward the lowest node index so choices
-// are deterministic.
+// RNG); a fresh policy must be constructed per run, exactly like a
+// stateful admission rule (serve.TokenBucket). Ties always break toward the
+// lowest node index so choices are deterministic.
 type Policy interface {
 	Name() string
 	Pick(now sim.Time, t Task, nodes []NodeView) int
@@ -71,11 +71,11 @@ func (JoinShortestQueue) Pick(_ sim.Time, _ Task, nodes []NodeView) int {
 // routes to the less-loaded of the pair (lower index on ties) — the
 // power-of-two-choices policy, which buys most of JSQ's balance with two
 // probes instead of a full scan. With one node it degenerates to that node.
-type PowerOfTwo struct{ rng *xorshift }
+type PowerOfTwo struct{ rng *sim.Rand }
 
 // NewPowerOfTwo returns a sampler seeded for one run. Identical seeds
 // produce identical probe sequences, keeping fleet runs bit-deterministic.
-func NewPowerOfTwo(seed int64) *PowerOfTwo { return &PowerOfTwo{rng: newRand(seed)} }
+func NewPowerOfTwo(seed int64) *PowerOfTwo { return &PowerOfTwo{rng: sim.NewRand(seed)} }
 
 // Name implements Policy.
 func (*PowerOfTwo) Name() string { return "p2c" }
@@ -85,8 +85,8 @@ func (p *PowerOfTwo) Pick(_ sim.Time, _ Task, nodes []NodeView) int {
 	if len(nodes) == 1 {
 		return 0
 	}
-	a := p.rng.intn(len(nodes))
-	b := p.rng.intn(len(nodes) - 1)
+	a := p.rng.Intn(len(nodes))
+	b := p.rng.Intn(len(nodes) - 1)
 	if b >= a {
 		b++ // second probe drawn from the remaining nodes, so a != b
 	}

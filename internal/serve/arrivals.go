@@ -97,12 +97,12 @@ func (g Poisson) Validate() error { return rateErr("poisson arrival rate", g.Rat
 // Times implements Generator via inverse-CDF sampling: gap = -ln(1-u)/rate.
 func (g Poisson) Times(n int) []sim.Time {
 	mustValidate(g.Validate())
-	r := newRand(g.Seed)
+	r := sim.NewRand(g.Seed)
 	gap := cyclesPerSecond / g.Rate
 	out := make([]sim.Time, n)
 	t := sim.Time(0)
 	for i := range out {
-		t += -math.Log(1-r.float01()) * gap
+		t += -math.Log(1-r.Float64()) * gap
 		out[i] = t
 	}
 	return out
@@ -248,13 +248,13 @@ func (g FlashCrowd) Times(n int) []sim.Time {
 // every iteration (peak is validated positive finite by the callers), so
 // the loop always terminates.
 func thinned(n int, seed int64, peak float64, rate func(sim.Time) float64) []sim.Time {
-	r := newRand(seed)
+	r := sim.NewRand(seed)
 	gap := cyclesPerSecond / peak
 	out := make([]sim.Time, 0, n)
 	t := sim.Time(0)
 	for len(out) < n {
-		t += -math.Log(1-r.float01()) * gap
-		if r.float01()*peak < rate(t) {
+		t += -math.Log(1-r.Float64()) * gap
+		if r.Float64()*peak < rate(t) {
 			out = append(out, t)
 		}
 	}

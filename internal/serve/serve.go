@@ -6,7 +6,7 @@
 //
 // The package deliberately sits *above* the runners: it knows nothing about
 // Pagoda, HyperQ or GeMTC. Generators produce arrival timestamps in virtual
-// cycles, policies decide admission from (virtual time, in-flight count), and
+// cycles, admission rules decide from (virtual time, in-flight count), and
 // Summarize folds the per-task Records a timed runner returns into tail
 // statistics. internal/runners provides the timed-submission paths (each
 // scheme's RunOpenLoop and RunCluster) that consume arrivals and produce
@@ -15,7 +15,7 @@
 // experiments.
 //
 // Everything here is deterministic by construction: pseudo-randomness comes
-// only from an explicitly seeded xorshift PRNG (the randsource rule), and no
+// only from an explicitly seeded sim.Rand (the randsource rule), and no
 // wall-clock, map iteration or goroutines are involved.
 package serve
 
@@ -44,28 +44,3 @@ func (r Record) Service() sim.Time { return r.Done - r.Start }
 
 // Latency returns the full submit-to-complete latency.
 func (r Record) Latency() sim.Time { return r.Done - r.Submit }
-
-// xorshift is the package's seeded deterministic PRNG (the same generator
-// workloads uses for input-size draws), so arrival sequences are identical
-// across Go versions and runs.
-type xorshift uint64
-
-func newRand(seed int64) *xorshift {
-	x := xorshift(uint64(seed)*2685821657736338717 + 0x9E3779B97F4A7C15)
-	if x == 0 {
-		x = 0x2545F4914F6CDD1D
-	}
-	return &x
-}
-
-func (x *xorshift) next() uint64 {
-	v := uint64(*x)
-	v ^= v << 13
-	v ^= v >> 7
-	v ^= v << 17
-	*x = xorshift(v)
-	return v
-}
-
-// float01 returns a float in [0,1).
-func (x *xorshift) float01() float64 { return float64(x.next()>>11) / (1 << 53) }

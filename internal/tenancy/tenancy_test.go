@@ -8,21 +8,6 @@ import (
 	"repro/internal/sim"
 )
 
-// testRand is a tiny deterministic PRNG for scrambled presentation orders
-// (mirrors the xorshift the sim packages use; math/rand is banned here).
-type testRand uint64
-
-func (x *testRand) next() uint64 {
-	v := uint64(*x)
-	v ^= v << 13
-	v ^= v >> 7
-	v ^= v << 17
-	*x = testRand(v)
-	return v
-}
-
-func (x *testRand) intn(n int) int { return int(x.next() % uint64(n)) }
-
 func twoClasses(slo sim.Time) []Class {
 	return []Class{
 		{Name: "hi", Priority: 1, Weight: 2, Rate: 1e4, Burst: 4, SLO: slo,
@@ -93,9 +78,9 @@ func TestStrictNeverAdmitsLowerWhileHigherWaits(t *testing.T) {
 	for i := range order {
 		order[i] = i
 	}
-	rng := testRand(99)
+	rng := sim.Rand(99)
 	for i := len(order) - 1; i > 0; i-- {
-		j := rng.intn(i + 1)
+		j := rng.Intn(i + 1)
 		order[i], order[j] = order[j], order[i]
 	}
 	now := arr[len(arr)-1] + 1
@@ -264,7 +249,7 @@ func TestConservation(t *testing.T) {
 		a := NewAdmission(kind, cl, arr, classOf, 8, true)
 
 		served, shed, evicted := 0, 0, 0
-		rng := testRand(5)
+		rng := sim.Rand(5)
 		inFlight := 0
 		for ti := range arr {
 			got := a.AdmitTask(ti, arr[ti], inFlight)
@@ -288,7 +273,7 @@ func TestConservation(t *testing.T) {
 			default:
 				t.Fatalf("%s: task %d outcome %v after presentation", kind, ti, o)
 			}
-			if inFlight > 0 && rng.intn(2) == 0 {
+			if inFlight > 0 && rng.Intn(2) == 0 {
 				inFlight-- // a completion
 			}
 		}

@@ -1,5 +1,7 @@
 package workloads
 
+import "repro/internal/sim"
+
 // BeamFormer (BF): the StreamIt beam former — steer an antenna array by
 // combining one input signal into several beams with per-beam complex
 // weights. "Many independent signal beams receive inputs asynchronously;
@@ -38,15 +40,15 @@ func BeamFormer() Benchmark {
 }
 
 func makeBF(opt Options) []TaskDef {
-	rng := newRand(opt.Seed)
+	rng := sim.NewRand(opt.Seed)
 	threads := opt.threads(256)
 	tasks := make([]TaskDef, opt.Tasks)
 
 	wRe := make([]float32, bfBeams)
 	wIm := make([]float32, bfBeams)
 	for b := range wRe {
-		wRe[b] = float32(rng.float01()*2 - 1)
-		wIm[b] = float32(rng.float01()*2 - 1)
+		wRe[b] = float32(rng.Float64()*2 - 1)
+		wIm[b] = float32(rng.Float64()*2 - 1)
 	}
 
 	for i := range tasks {
@@ -55,7 +57,7 @@ func makeBF(opt Options) []TaskDef {
 			width = opt.InputSize
 		}
 		if opt.Irregular {
-			width = 256 << uint(rng.rangeInt(1, 4))
+			width = 256 << uint(rangeInt(rng, 1, 4))
 		}
 		units := width * bfBeams
 
@@ -63,7 +65,7 @@ func makeBF(opt Options) []TaskDef {
 		if opt.Verify {
 			sig = make([]float32, width)
 			for p := range sig {
-				sig[p] = float32(rng.float01()*2 - 1)
+				sig[p] = float32(rng.Float64()*2 - 1)
 			}
 			out = make([]float32, units)
 			want = bfRef(sig, wRe, wIm, width)

@@ -1,5 +1,7 @@
 package workloads
 
+import "repro/internal/sim"
+
 // Image convolution (CONV): 5x5 stencil over a dim x dim float32 image, one
 // image per task ("Convolution filters are used in blur and edge detection
 // mechanisms; each filter operation represents a task", Table 4). Default
@@ -81,7 +83,7 @@ func Convolution() Benchmark {
 }
 
 func makeConv(opt Options) []TaskDef {
-	rng := newRand(opt.Seed)
+	rng := sim.NewRand(opt.Seed)
 	threads := opt.threads(128)
 	tasks := make([]TaskDef, opt.Tasks)
 	for i := range tasks {
@@ -90,7 +92,7 @@ func makeConv(opt Options) []TaskDef {
 			dim = opt.InputSize
 		}
 		if opt.Irregular {
-			dim = 1 << uint(rng.rangeInt(5, 8)) // 32..256 per side
+			dim = 1 << uint(rangeInt(rng, 5, 8)) // 32..256 per side
 		}
 		pixels := dim * dim
 
@@ -99,7 +101,7 @@ func makeConv(opt Options) []TaskDef {
 			in = make([]float32, pixels)
 			out = make([]float32, pixels)
 			for p := range in {
-				in[p] = float32(rng.float01())
+				in[p] = float32(rng.Float64())
 			}
 			want = convRef(in, dim)
 		}

@@ -1,5 +1,7 @@
 package workloads
 
+import "repro/internal/sim"
+
 // 3DES benchmark: "network routers encrypt multiple packets as they arrive,
 // each of which is represented as a narrow task. We use NetBench to generate
 // varied sizes of network packets" (Table 4). Table 3: packets sized 2K-64K,
@@ -8,14 +10,14 @@ package workloads
 // netbenchPacketBytes draws a packet size from a NetBench-like bimodal
 // distribution over the paper's 2K..64K range: mostly small-to-medium
 // packets with a heavy tail of maximum-size transfers.
-func netbenchPacketBytes(rng *xorshift) int {
-	switch rng.intn(10) {
+func netbenchPacketBytes(rng *sim.Rand) int {
+	switch rng.Intn(10) {
 	case 0, 1, 2, 3: // 40%: small bulk
-		return 2048 << uint(rng.intn(2)) // 2K or 4K
+		return 2048 << uint(rng.Intn(2)) // 2K or 4K
 	case 4, 5, 6: // 30%: medium
-		return 8192 << uint(rng.intn(2)) // 8K or 16K
+		return 8192 << uint(rng.Intn(2)) // 8K or 16K
 	default: // 30%: large
-		return 32768 << uint(rng.intn(2)) // 32K or 64K
+		return 32768 << uint(rng.Intn(2)) // 32K or 64K
 	}
 }
 
@@ -32,7 +34,7 @@ func TripleDESBench() Benchmark {
 }
 
 func make3DES(opt Options) []TaskDef {
-	rng := newRand(opt.Seed)
+	rng := sim.NewRand(opt.Seed)
 	threads := opt.threads(128)
 	cipher := NewTripleDES(0x0123456789ABCDEF, 0x23456789ABCDEF01, 0x456789ABCDEF0123)
 
@@ -48,7 +50,7 @@ func make3DES(opt Options) []TaskDef {
 		if opt.Verify {
 			packet = make([]uint64, blocks)
 			for p := range packet {
-				packet[p] = rng.next()
+				packet[p] = rng.Uint64()
 			}
 			want = make([]uint64, blocks)
 			for p := range packet {

@@ -3,6 +3,8 @@ package workloads
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/sim"
 )
 
 func TestDESClassicVector(t *testing.T) {
@@ -76,11 +78,11 @@ func TestTripleDESRoundTripProperty(t *testing.T) {
 
 func TestPacketEncryptDecrypt(t *testing.T) {
 	td := NewTripleDES(1, 2, 3)
-	rng := newRand(7)
+	rng := sim.NewRand(7)
 	pkt := make([]uint64, 256)
 	orig := make([]uint64, 256)
 	for i := range pkt {
-		pkt[i] = rng.next()
+		pkt[i] = rng.Uint64()
 		orig[i] = pkt[i]
 	}
 	td.EncryptPacket(pkt)
@@ -113,7 +115,7 @@ func TestDESKeyScheduleShape(t *testing.T) {
 }
 
 func TestNetbenchPacketDistribution(t *testing.T) {
-	rng := newRand(42)
+	rng := sim.NewRand(42)
 	sizes := map[int]int{}
 	for i := 0; i < 10000; i++ {
 		b := netbenchPacketBytes(rng)

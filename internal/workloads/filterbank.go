@@ -1,5 +1,7 @@
 package workloads
 
+import "repro/internal/sim"
+
 // FilterBank (FB): the StreamIt filter bank of Fig. 1c — convolve the input
 // with H, down-sample, up-sample, convolve with F. "Multiple radios generate
 // signals, processing each of them represents a task." Table 3: signals of
@@ -50,7 +52,7 @@ func FilterBank() Benchmark {
 }
 
 func makeFB(opt Options) []TaskDef {
-	rng := newRand(opt.Seed)
+	rng := sim.NewRand(opt.Seed)
 	threads := opt.threads(256)
 	tasks := make([]TaskDef, opt.Tasks)
 
@@ -58,8 +60,8 @@ func makeFB(opt Options) []TaskDef {
 	h := make([]float32, fbTaps)
 	f := make([]float32, fbTaps)
 	for k := range h {
-		h[k] = float32(rng.float01()*2 - 1)
-		f[k] = float32(rng.float01()*2 - 1)
+		h[k] = float32(rng.Float64()*2 - 1)
+		f[k] = float32(rng.Float64()*2 - 1)
 	}
 
 	for i := range tasks {
@@ -68,14 +70,14 @@ func makeFB(opt Options) []TaskDef {
 			width = opt.InputSize
 		}
 		if opt.Irregular {
-			width = 256 << uint(rng.rangeInt(1, 4)) // 512..4096
+			width = 256 << uint(rangeInt(rng, 1, 4)) // 512..4096
 		}
 
 		var sig, out, want, vh, vu []float32
 		if opt.Verify {
 			sig = make([]float32, width)
 			for p := range sig {
-				sig[p] = float32(rng.float01()*2 - 1)
+				sig[p] = float32(rng.Float64()*2 - 1)
 			}
 			out = make([]float32, width)
 			// Stage intermediates are task-scoped: warps exchange them

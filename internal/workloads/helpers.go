@@ -3,6 +3,8 @@ package workloads
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/sim"
 )
 
 // pickThreads selects a task's thread count. Regular runs use the requested
@@ -30,11 +32,11 @@ func (o Options) pickThreads(def, units, baseUnits int) int {
 
 // irregularThreads draws a thread count independent of size (used by
 // benchmarks whose irregularity is computational, not size-based).
-func (o Options) irregularThreads(rng *xorshift, def int) int {
+func (o Options) irregularThreads(rng *sim.Rand, def int) int {
 	if !o.Irregular {
 		return o.threads(def)
 	}
-	return 32 << uint(rng.intn(4)) // 32, 64, 128, 256
+	return 32 << uint(rng.Intn(4)) // 32, 64, 128, 256
 }
 
 func approxEqual32(name string, got, want []float32, tol float64) error {

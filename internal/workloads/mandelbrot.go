@@ -1,5 +1,7 @@
 package workloads
 
+import "repro/internal/sim"
+
 // Mandelbrot (MB): each task renders one 64x64 tile of the Mandelbrot set
 // ("each pixel value of the image is calculated in parallel; however, the
 // required computation per pixel is highly irregular", Table 4). The
@@ -56,7 +58,7 @@ func Mandelbrot() Benchmark {
 }
 
 func makeMB(opt Options) []TaskDef {
-	rng := newRand(opt.Seed)
+	rng := sim.NewRand(opt.Seed)
 	threads := opt.threads(128)
 	tasks := make([]TaskDef, opt.Tasks)
 	for i := range tasks {
@@ -65,14 +67,14 @@ func makeMB(opt Options) []TaskDef {
 			dim = opt.InputSize
 		}
 		if opt.Irregular {
-			dim = 16 << uint(rng.rangeInt(1, 3)) // 32..128
+			dim = 16 << uint(rangeInt(rng, 1, 3)) // 32..128
 		}
 		pixels := dim * dim
 
 		// Tiles tile an interesting region around the set's boundary so the
 		// per-tile work genuinely varies.
-		x0 := -2.0 + 2.5*rng.float01()
-		y0 := -1.25 + 2.5*rng.float01()
+		x0 := -2.0 + 2.5*rng.Float64()
+		y0 := -1.25 + 2.5*rng.Float64()
 		step := 2.5 / 4096
 
 		// True work: exact in verify mode; a cheap boundary-dependent

@@ -1,6 +1,10 @@
 package workloads
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/sim"
+)
 
 // Microbenchmarks of the real per-task computations (the host reference
 // implementations, which also run inside verify-mode kernels).
@@ -29,10 +33,10 @@ func Benchmark3DESPacket2K(b *testing.B) {
 }
 
 func BenchmarkDCT8x8Image128(b *testing.B) {
-	rng := newRand(1)
+	rng := sim.NewRand(1)
 	in := make([]float32, 128*128)
 	for i := range in {
-		in[i] = float32(rng.float01())
+		in[i] = float32(rng.Float64())
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -41,10 +45,10 @@ func BenchmarkDCT8x8Image128(b *testing.B) {
 }
 
 func BenchmarkConv128(b *testing.B) {
-	rng := newRand(2)
+	rng := sim.NewRand(2)
 	in := make([]float32, 128*128)
 	for i := range in {
-		in[i] = float32(rng.float01())
+		in[i] = float32(rng.Float64())
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -53,12 +57,12 @@ func BenchmarkConv128(b *testing.B) {
 }
 
 func BenchmarkMatMul64(b *testing.B) {
-	rng := newRand(3)
+	rng := sim.NewRand(3)
 	a := make([]float32, 64*64)
 	c := make([]float32, 64*64)
 	for i := range a {
-		a[i] = float32(rng.float01())
-		c[i] = float32(rng.float01())
+		a[i] = float32(rng.Float64())
+		c[i] = float32(rng.Float64())
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -74,15 +78,15 @@ func BenchmarkMandelbrotTile64(b *testing.B) {
 }
 
 func BenchmarkFilterBankSignal2K(b *testing.B) {
-	rng := newRand(4)
+	rng := sim.NewRand(4)
 	sig := make([]float32, 2048)
 	h := make([]float32, fbTaps)
 	f := make([]float32, fbTaps)
 	for i := range sig {
-		sig[i] = float32(rng.float01())
+		sig[i] = float32(rng.Float64())
 	}
 	for i := range h {
-		h[i], f[i] = float32(rng.float01()), float32(rng.float01())
+		h[i], f[i] = float32(rng.Float64()), float32(rng.Float64())
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -91,11 +95,11 @@ func BenchmarkFilterBankSignal2K(b *testing.B) {
 }
 
 func BenchmarkSparseLUBlockBMOD(b *testing.B) {
-	rng := newRand(5)
+	rng := sim.NewRand(5)
 	mk := func() []float64 {
 		m := make([]float64, sludBS*sludBS)
 		for i := range m {
-			m[i] = rng.float01() + 1
+			m[i] = rng.Float64() + 1
 		}
 		return m
 	}

@@ -1,5 +1,7 @@
 package workloads
 
+import "repro/internal/sim"
+
 // MatrixMul (MM): small dense matrix multiplications, one per task,
 // "refactored from the NVIDIA SDK samples ... to simulate the behaviour seen
 // in an earthquake engineering simulator" (Table 4). Table 3: 64x64 matrices,
@@ -38,7 +40,7 @@ func MatrixMul() Benchmark {
 }
 
 func makeMM(opt Options) []TaskDef {
-	rng := newRand(opt.Seed)
+	rng := sim.NewRand(opt.Seed)
 	threads := opt.threads(256)
 	tasks := make([]TaskDef, opt.Tasks)
 	for i := range tasks {
@@ -47,7 +49,7 @@ func makeMM(opt Options) []TaskDef {
 			n = opt.InputSize
 		}
 		if opt.Irregular {
-			n = 8 << uint(rng.rangeInt(2, 5)) // 32..256
+			n = 8 << uint(rangeInt(rng, 2, 5)) // 32..256
 		}
 		elems := n * n
 
@@ -57,8 +59,8 @@ func makeMM(opt Options) []TaskDef {
 			b = make([]float32, elems)
 			out = make([]float32, elems)
 			for p := 0; p < elems; p++ {
-				a[p] = float32(rng.float01()*2 - 1)
-				b[p] = float32(rng.float01()*2 - 1)
+				a[p] = float32(rng.Float64()*2 - 1)
+				b[p] = float32(rng.Float64()*2 - 1)
 			}
 			want = mmRef(a, b, n)
 		}

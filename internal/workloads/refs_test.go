@@ -3,6 +3,8 @@ package workloads
 import (
 	"math"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 func TestDCTCoeffOrthonormal(t *testing.T) {
@@ -44,11 +46,11 @@ func TestDCTConstantBlock(t *testing.T) {
 
 func TestDCTParseval(t *testing.T) {
 	// Orthonormal transform preserves energy.
-	rng := newRand(3)
+	rng := sim.NewRand(3)
 	in := make([]float32, 64)
 	var ein float64
 	for i := range in {
-		in[i] = float32(rng.float01()*2 - 1)
+		in[i] = float32(rng.Float64()*2 - 1)
 		ein += float64(in[i]) * float64(in[i])
 	}
 	var out [64]float32
@@ -98,11 +100,11 @@ func TestMMIdentity(t *testing.T) {
 	n := 16
 	a := make([]float32, n*n)
 	id := make([]float32, n*n)
-	rng := newRand(5)
+	rng := sim.NewRand(5)
 	for i := 0; i < n; i++ {
 		id[i*n+i] = 1
 		for j := 0; j < n; j++ {
-			a[i*n+j] = float32(rng.float01())
+			a[i*n+j] = float32(rng.Float64())
 		}
 	}
 	got := mmRef(a, id, n)
@@ -167,11 +169,11 @@ func TestSLUDFactorsMatrix(t *testing.T) {
 	// with the block ops and compare L*U against the original.
 	const nb = 2
 	n := nb * sludBS
-	rng := newRand(11)
+	rng := sim.NewRand(11)
 	orig := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			orig[i*n+j] = rng.float01()
+			orig[i*n+j] = rng.Float64()
 		}
 		orig[i*n+i] += float64(n) // diagonal dominance: stable without pivoting
 	}
@@ -243,7 +245,7 @@ func TestSLUDFactorsMatrix(t *testing.T) {
 }
 
 func TestSLUDPlanHasFillIn(t *testing.T) {
-	rng := newRand(1)
+	rng := sim.NewRand(1)
 	nb := 16
 	plan := sludPlan(nb, sludPattern(nb, 0.35, rng))
 	kinds := map[sludOpKind]int{}

@@ -15,7 +15,11 @@
 //     validated against the host reference implementations in tests.
 package workloads
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // DeviceCtx is the device-side API a task kernel needs. core.TaskCtx
 // satisfies it directly; the baseline executors provide adapters.
@@ -148,40 +152,13 @@ func ByName(name string) (Benchmark, error) {
 	return Benchmark{}, fmt.Errorf("workloads: unknown benchmark %q", name)
 }
 
-// xorshift is a tiny deterministic PRNG for input-size draws; math/rand would
-// work too, but this keeps task generation identical across Go versions.
-type xorshift uint64
-
-func newRand(seed int64) *xorshift {
-	x := xorshift(uint64(seed)*2685821657736338717 + 0x9E3779B97F4A7C15)
-	if x == 0 {
-		x = 0x2545F4914F6CDD1D
-	}
-	return &x
-}
-
-func (x *xorshift) next() uint64 {
-	v := uint64(*x)
-	v ^= v << 13
-	v ^= v >> 7
-	v ^= v << 17
-	*x = xorshift(v)
-	return v
-}
-
-// intn returns a deterministic value in [0, n).
-func (x *xorshift) intn(n int) int { return int(x.next() % uint64(n)) }
-
-// rangeInt returns a value in [lo, hi].
-func (x *xorshift) rangeInt(lo, hi int) int {
+// rangeInt draws a value in [lo, hi].
+func rangeInt(rng *sim.Rand, lo, hi int) int {
 	if hi <= lo {
 		return lo
 	}
-	return lo + x.intn(hi-lo+1)
+	return lo + rng.Intn(hi-lo+1)
 }
-
-// float01 returns a float in [0,1).
-func (x *xorshift) float01() float64 { return float64(x.next()>>11) / (1 << 53) }
 
 // ceilDiv is a small helper shared by the kernels.
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -7,9 +7,9 @@ import (
 	"repro/internal/sim"
 )
 
-// A Fleet is the node set behind the dispatcher. Static wraps a fixed
-// slice; internal/autoscale provides the elastic implementation. The
-// dispatcher only ever sees the dispatchable subset.
+// A Fleet is the node set behind the dispatcher. internal/autoscale
+// provides the implementation, fixed fleets included (the Min == Max case).
+// The dispatcher only ever sees the dispatchable subset.
 type Fleet interface {
 	// Snapshot returns the currently dispatchable nodes together with each
 	// node's stable fleet-wide id (for per-node record attribution), in id
@@ -20,31 +20,6 @@ type Fleet interface {
 	// CloseAll signals that no further Submit calls will come anywhere:
 	// every remaining node drains and the fleet stops scaling.
 	CloseAll()
-}
-
-// staticFleet is a fixed node set: every node is dispatchable for the whole
-// run under ids 0..n-1.
-type staticFleet struct {
-	nodes []Node
-	ids   []int
-}
-
-// Static returns the Fleet of a fixed node slice: every node is always
-// dispatchable, node i has id i, and CloseAll closes each node in order.
-func Static(nodes []Node) Fleet {
-	ids := make([]int, len(nodes))
-	for i := range ids {
-		ids[i] = i
-	}
-	return &staticFleet{nodes: nodes, ids: ids}
-}
-
-func (f *staticFleet) Snapshot() ([]Node, []int) { return f.nodes, f.ids }
-
-func (f *staticFleet) CloseAll() {
-	for _, n := range f.nodes {
-		n.Close()
-	}
 }
 
 // Dispatcher is the fleet's front end: one engine process that consumes an

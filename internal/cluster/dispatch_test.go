@@ -36,14 +36,32 @@ func (f *fakeNode) Submit(ti int) {
 	f.view.Done++
 }
 
+// fixedFleet is a test Fleet whose nodes are all dispatchable for the whole
+// run under ids 0..n-1.
+type fixedFleet []Node
+
+func (f fixedFleet) Snapshot() ([]Node, []int) {
+	ids := make([]int, len(f))
+	for i := range ids {
+		ids[i] = i
+	}
+	return f, ids
+}
+
+func (f fixedFleet) CloseAll() {
+	for _, n := range f {
+		n.Close()
+	}
+}
+
 func fleet(eng *sim.Engine, n int) ([]*fakeNode, Fleet) {
 	fakes := make([]*fakeNode, n)
-	nodes := make([]Node, n)
+	nodes := make(fixedFleet, n)
 	for i := range fakes {
 		fakes[i] = &fakeNode{eng: eng, name: string(rune('a' + i))}
 		nodes[i] = fakes[i]
 	}
-	return fakes, Static(nodes)
+	return fakes, nodes
 }
 
 func runDispatch(t *testing.T, eng *sim.Engine, d Dispatcher, n int) ([]serve.Record, []int) {
@@ -130,7 +148,7 @@ func TestDispatcherValidate(t *testing.T) {
 		n    int
 	}{
 		{"no fleet", Dispatcher{Arrivals: []sim.Time{1}}, 1},
-		{"no nodes", Dispatcher{Arrivals: []sim.Time{1}, Fleet: Static(nil)}, 1},
+		{"no nodes", Dispatcher{Arrivals: []sim.Time{1}, Fleet: fixedFleet(nil)}, 1},
 		{"arrival count", Dispatcher{Arrivals: []sim.Time{1}, Fleet: fl}, 2},
 		{"decreasing", Dispatcher{Arrivals: []sim.Time{2, 1}, Fleet: fl}, 2},
 		{"classes len", Dispatcher{Arrivals: []sim.Time{1, 2}, Classes: []int{0}, Fleet: fl}, 2},

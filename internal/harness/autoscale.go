@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/autoscale"
-	"repro/internal/cluster"
 	"repro/internal/runners"
 	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/workloads"
 )
 
 // Sweep-section lifecycle: scaled to the short horizons the capped task
@@ -29,68 +27,28 @@ const (
 	asTraceMax = 32
 )
 
-// elasticOut is one elastic fleet cell's summary: serving stats, the final
-// per-node ledgers, the scale outcome, and the run's elapsed virtual time
-// (for pricing a scaler-disabled fixed fleet).
-type elasticOut struct {
-	st      serve.Stats
-	views   []cluster.NodeView
-	scale   *autoscale.Outcome
-	elapsed sim.Time
-}
-
 // nodeSeconds prices the cell: the scaler's provision-to-retire ledger, or —
 // when scaling was disabled (min = max) and no outcome exists — the fixed
 // fleet's size times the run's elapsed time.
-func (e elasticOut) nodeSeconds() float64 {
-	if e.scale != nil {
-		return e.scale.NodeSeconds()
+func (o fleetOut) nodeSeconds() float64 {
+	if o.scale != nil {
+		return o.scale.NodeSeconds()
 	}
-	return float64(len(e.views)) * e.elapsed / 1e9
+	return float64(len(o.views)) * o.elapsed / 1e9
 }
 
-func (e elasticOut) nodeSecPerMTask() float64 {
-	if e.st.Completed <= 0 {
+func (o fleetOut) nodeSecPerMTask() float64 {
+	if o.st.Completed <= 0 {
 		return 0
 	}
-	return e.nodeSeconds() / (float64(e.st.Completed) / 1e6)
+	return o.nodeSeconds() / (float64(o.st.Completed) / 1e6)
 }
 
-func (e elasticOut) outsInsPeak() (int, int, int) {
-	if e.scale == nil {
-		return 0, 0, len(e.views)
+func (o fleetOut) outsInsPeak() (int, int, int) {
+	if o.scale == nil {
+		return 0, 0, len(o.views)
 	}
-	return e.scale.ScaleOuts, e.scale.ScaleIns, e.scale.Peak
-}
-
-// elasticCell enqueues one elastic fleet simulation. Arrivals, the routing
-// policy and the scaler config are all constructed inside the cell, keeping
-// cells independent at any harness parallelism; conservation across every
-// scale-out and drain is checked before any number escapes.
-func elasticCell(s *sweep, mk func() []workloads.TaskDef, cfg runners.Config,
-	gen serve.Generator, mkScaler func() *autoscale.Config, mkPol func() cluster.Policy,
-	admit func() func(sim.Time, int) bool, sc runners.Scheme, slo sim.Time) *elasticOut {
-	out := new(elasticOut)
-	s.add(func() {
-		tasks := mk()
-		co := runners.ClusterOpenLoop{
-			Arrivals: gen.Times(len(tasks)),
-			Admit:    admit,
-			Scaler:   mkScaler(),
-		}
-		if mkPol != nil {
-			co.Policy = mkPol()
-		}
-		res, cr := sc.RunCluster(tasks, co, cfg)
-		if err := cr.CheckConservation(); err != nil {
-			panic(fmt.Sprintf("harness: elastic fleet leaked tasks: %v", err))
-		}
-		out.st = serve.Summarize(cr.Recs, slo)
-		out.views = cr.Views
-		out.scale = cr.Scale
-		out.elapsed = res.Elapsed
-	})
-	return out
+	return o.scale.ScaleOuts, o.scale.ScaleIns, o.scale.Peak
 }
 
 // scalePolicies resolves the scaling-policy axis: every registered policy,
@@ -106,18 +64,17 @@ func (p Params) scalePolicies() []string {
 	return []string{p.Autoscale}
 }
 
-// mkScalerFor builds the scaler-config factory for one (policy, tuning)
-// sweep point over the [min, max] fleet bounds.
+// mkScalerFor builds the scaler config for one (policy, tuning) sweep point
+// over the [min, max] fleet bounds. Cells share it read-only: each run copies
+// the config and calls its Policy factory once.
 func mkScalerFor(policy string, tu autoscale.Tuning, min, max int,
-	interval, warmup, cooldown sim.Time) func() *autoscale.Config {
-	return func() *autoscale.Config {
-		mk, err := autoscale.NewPolicy(policy, tu)
-		if err != nil {
-			panic(err)
-		}
-		return &autoscale.Config{Min: min, Max: max, Policy: mk,
-			Interval: interval, Warmup: warmup, Cooldown: cooldown}
+	interval, warmup, cooldown sim.Time) *autoscale.Config {
+	mk, err := autoscale.NewPolicy(policy, tu)
+	if err != nil {
+		panic(err)
 	}
+	return &autoscale.Config{Min: min, Max: max, Policy: mk,
+		Interval: interval, Warmup: warmup, Cooldown: cooldown}
 }
 
 // ClusterAutoscale regenerates the fleet-elasticity sweep: scaler
@@ -158,11 +115,7 @@ func ClusterAutoscale(p Params) *Report {
 		{"aggressive", gentle.Aggressive()},
 	}
 
-	b, _ := workloads.ByName("MB")
-	mk := func() []workloads.TaskDef {
-		return b.Make(workloads.Options{Tasks: n, Threads: 128, Seed: p.Seed})
-	}
-	admit := func() func(sim.Time, int) bool { return serve.BoundedQueue{Limit: 32}.Admit }
+	mk := mbTasks(n, p.Seed)
 	cfg := p.runnerCfg()
 	schemes := p.gpuSchemes()
 	policies := p.scalePolicies()
@@ -177,17 +130,18 @@ func ClusterAutoscale(p Params) *Report {
 	type asCell struct {
 		arr, pol, tun string
 		sc            runners.Scheme
-		out           *elasticOut
+		out           *fleetOut
 	}
 	s := newSweep(p)
 	var cells []asCell
 	for _, ak := range arrivalKinds {
 		for _, pol := range policies {
 			for _, tn := range tunings {
-				mkSc := mkScalerFor(pol, tn.tu, min, max, asSweepInterval, asSweepWarmup, asSweepCooldown)
+				co := runners.ClusterOpenLoop{Admit: queue32,
+					Scaler: mkScalerFor(pol, tn.tu, min, max, asSweepInterval, asSweepWarmup, asSweepCooldown)}
 				for _, sc := range schemes {
 					cells = append(cells, asCell{ak.key, pol, tn.key, sc,
-						elasticCell(s, mk, cfg, ak.gen, mkSc, p.clusterPolicy(), admit, sc, slo)})
+						fleetCell(s, mk, cfg, sc, slo, ak.gen, co, p.clusterPolicy())})
 				}
 			}
 		}
@@ -204,14 +158,13 @@ func ClusterAutoscale(p Params) *Report {
 	traceTu := autoscale.DefaultTuning()
 	traceTu.SLO = slo
 	traceTu.PerNodeRate = perNode
-	mkTrace := func() []workloads.TaskDef {
-		return b.Make(workloads.Options{Tasks: p.Tasks, Threads: 128, Seed: p.Seed})
-	}
+	mkTrace := mbTasks(p.Tasks, p.Seed)
 	for _, pol := range policies {
-		mkSc := mkScalerFor(pol, traceTu, asTraceMin, asTraceMax, 0, autoscale.DefaultWarmup, 0)
+		co := runners.ClusterOpenLoop{Admit: queue32,
+			Scaler: mkScalerFor(pol, traceTu, asTraceMin, asTraceMax, 0, autoscale.DefaultWarmup, 0)}
 		for _, sc := range schemes {
 			cells = append(cells, asCell{"trace", pol, "default", sc,
-				elasticCell(s, mkTrace, cfg, traceGen, mkSc, p.clusterPolicy(), admit, sc, slo)})
+				fleetCell(s, mkTrace, cfg, sc, slo, traceGen, co, p.clusterPolicy())})
 		}
 	}
 	s.run()

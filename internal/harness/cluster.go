@@ -22,57 +22,9 @@ func clusterTaskCount(p Params) int {
 	return p.Tasks
 }
 
-// clusterOut is one fleet cell's summary: the latency/goodput stats over the
-// whole fleet plus the per-node accounting the imbalance metric reads.
-type clusterOut struct {
-	st    serve.Stats
-	views []cluster.NodeView
-}
-
-// imbalance is max routed / ideal share — 1.00 means a perfectly even split,
-// 4.00 on a 4-node fleet means one node took everything.
-func (c clusterOut) imbalance() float64 {
-	total, max := 0, 0
-	for _, v := range c.views {
-		total += v.Routed
-		if v.Routed > max {
-			max = v.Routed
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(max) * float64(len(c.views)) / float64(total)
-}
-
-// clusterCell enqueues one fleet simulation. Arrivals are regenerated and
-// the routing policy and per-node admission are constructed inside the cell,
-// keeping cells independent at any harness parallelism; the conservation
-// invariant is checked before any number escapes the cell.
-func clusterCell(s *sweep, mk func() []workloads.TaskDef, classes []int, cfg runners.Config,
-	gen serve.Generator, nodes int, mkPol func() cluster.Policy,
-	admit func() func(sim.Time, int) bool, sc runners.Scheme, slo sim.Time) *clusterOut {
-	out := new(clusterOut)
-	s.add(func() {
-		tasks := mk()
-		co := runners.ClusterOpenLoop{
-			Arrivals: gen.Times(len(tasks)),
-			Classes:  classes,
-			Nodes:    nodes,
-			Admit:    admit,
-		}
-		if mkPol != nil {
-			co.Policy = mkPol()
-		}
-		_, cr := sc.RunCluster(tasks, co, cfg)
-		if err := cr.CheckConservation(); err != nil {
-			panic(fmt.Sprintf("harness: fleet leaked tasks: %v", err))
-		}
-		out.st = serve.Summarize(cr.Recs, slo)
-		out.views = cr.Views
-	})
-	return out
-}
+// queue32 is the per-node admission of the fleet experiments that bound
+// it: a 32-deep bounded queue, fresh per node.
+func queue32() func(sim.Time, int) bool { return serve.BoundedQueue{Limit: 32}.Admit }
 
 func (p Params) clusterPolicy() func() cluster.Policy {
 	mk, err := cluster.NewPolicy(p.Policy, p.Seed)
@@ -107,60 +59,36 @@ func ClusterScaling(p Params) *Report {
 		header...)
 	r.setSeed(p.Seed)
 
-	b, _ := workloads.ByName("MB")
-	opt := workloads.Options{Tasks: n, Threads: 128, Seed: p.Seed}
-	mk := func() []workloads.TaskDef { return b.Make(opt) }
+	mk := mbTasks(n, p.Seed)
 	cfg := p.runnerCfg()
 
-	type scalingCell struct {
-		sc    runners.Scheme
-		nodes int
-		rate  float64 // per-node offered rate
-		out   *clusterOut
-	}
 	s := newSweep(p)
 	schemes := p.gpuSchemes()
-	var cells []scalingCell
+	cells := make(map[string][]*fleetOut)
 	for _, sc := range schemes {
 		for _, nodes := range nodeCounts {
+			key := fmt.Sprintf("%s/%d", sc.Key, nodes)
 			for _, rate := range perNode {
 				gen := serve.Poisson{Rate: rate * float64(nodes), Seed: p.Seed}
-				cells = append(cells, scalingCell{sc, nodes, rate,
-					clusterCell(s, mk, nil, cfg, gen, nodes, p.clusterPolicy(), nil, sc, slo)})
+				cells[key] = append(cells[key],
+					fleetCell(s, mk, cfg, sc, slo, gen, runners.ClusterOpenLoop{Nodes: nodes}, p.clusterPolicy()))
 			}
 		}
 	}
 	s.run()
 
-	i := 0
 	for _, sc := range schemes {
 		for _, nodes := range nodeCounts {
-			row := []string{sc.Display, fmt.Sprint(nodes)}
-			offered := make([]float64, len(perNode))
-			ok := make([]bool, len(perNode))
-			var top *clusterOut
-			for j, rate := range perNode {
-				c := cells[i]
-				i++
-				st := c.out.st
-				offered[j] = rate * float64(nodes)
-				ok[j] = st.SLOSatisfied()
-				row = append(row, cond(ok[j], us(st.P99), us(st.P99)+"*"))
-				key := fmt.Sprintf("%s/%d", sc.Key, nodes)
-				r.set(fmt.Sprintf("%s/p99us/%.0f", key, rate), st.P99/1e3)
-				r.set(fmt.Sprintf("%s/goodput/%.0f", key, rate), st.Goodput)
-				top = c.out
-			}
-			max := serve.MaxSustainable(offered, ok)
 			key := fmt.Sprintf("%s/%d", sc.Key, nodes)
-			r.set(key+"/max-rate", max)
+			offered := make([]float64, len(perNode))
+			for j, rate := range perNode {
+				offered[j] = rate * float64(nodes)
+			}
+			row, max := r.ladder(key, perNode, offered, cells[key], sc.Display, fmt.Sprint(nodes))
+			top := cells[key][len(perNode)-1].imbalance()
 			r.set(key+"/max-rate-node", max/float64(nodes))
-			r.set(key+"/imbalance", top.imbalance())
-			row = append(row,
-				cond(max > 0, fmt.Sprintf("%.0f", max), "none"),
-				cond(max > 0, fmt.Sprintf("%.0f", max/float64(nodes)), "none"),
-				f2(top.imbalance()))
-			r.addRow(row...)
+			r.set(key+"/imbalance", top)
+			r.addRow(append(row, rateCell(max/float64(nodes)), f2(top))...)
 		}
 	}
 	r.note("cap is the highest offered rate (per-node rung x nodes) whose whole prefix met the %.0fus p99 SLO with no drops; cap/node flat across fleet sizes = linear scaling", slo/1e3)
@@ -221,7 +149,7 @@ func ClusterPolicy(p Params) *Report {
 		classes[i] = i % len(clusterClassBenches)
 	}
 	mk := func() []workloads.TaskDef { return makeMixedTasks(n, p.Seed) }
-	admit := func() func(sim.Time, int) bool { return serve.BoundedQueue{Limit: 32}.Admit }
+	co := runners.ClusterOpenLoop{Classes: classes, Nodes: nodes, Admit: queue32}
 	cfg := p.runnerCfg()
 
 	r := newReport("cluster_policy",
@@ -234,7 +162,7 @@ func ClusterPolicy(p Params) *Report {
 		arr    string
 		policy string
 		sc     runners.Scheme
-		out    *clusterOut
+		out    *fleetOut
 	}
 	s := newSweep(p)
 	var cells []policyCell
@@ -246,7 +174,7 @@ func ClusterPolicy(p Params) *Report {
 			}
 			for _, sc := range p.gpuSchemes() {
 				cells = append(cells, policyCell{ak.key, pname, sc,
-					clusterCell(s, mk, classes, cfg, ak.gen, nodes, mkPol, admit, sc, slo)})
+					fleetCell(s, mk, cfg, sc, slo, ak.gen, co, mkPol)})
 			}
 		}
 	}

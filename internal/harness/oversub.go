@@ -59,9 +59,10 @@ func OversubSweep(p Params) *Report {
 	// experiment, and the 1 MB/task PCIe traffic would drown it.
 	b, _ := workloads.ByName("DCT")
 	opt := workloads.Options{Tasks: n, Threads: 32, InputSize: 512, Seed: p.Seed, UseShared: true}
+	mk := func() []workloads.TaskDef { return b.Make(opt) }
 
 	s := newSweep(p)
-	cells := make(map[float64][]*serve.Stats)
+	cells := make(map[float64][]*fleetOut)
 	for _, factor := range oversubFactors {
 		cfg := p.runnerCfg()
 		cfg.SMMs = oversubSMMs
@@ -69,25 +70,14 @@ func OversubSweep(p Params) *Report {
 		cfg.Oversub = gpu.UniformOversub(factor)
 		for _, rate := range oversubRates {
 			gen := serve.Poisson{Rate: rate, Seed: p.Seed}
-			cells[factor] = append(cells[factor], serveCell(s, b, opt, cfg, gen, nil, sc, slo))
+			cells[factor] = append(cells[factor], fleetCell(s, mk, cfg, sc, slo, gen, runners.ClusterOpenLoop{}, nil))
 		}
 	}
 	s.run()
 
 	for _, factor := range oversubFactors {
-		row := []string{fmt.Sprintf("%.2f", factor)}
-		ok := make([]bool, len(oversubRates))
-		for i, rate := range oversubRates {
-			st := *cells[factor][i]
-			ok[i] = st.SLOSatisfied()
-			row = append(row, cond(ok[i], us(st.P99), us(st.P99)+"*"))
-			key := fmt.Sprintf("%.2f", factor)
-			r.set(fmt.Sprintf("%s/p99us/%.0f", key, rate), st.P99/1e3)
-			r.set(fmt.Sprintf("%s/goodput/%.0f", key, rate), st.Goodput)
-		}
-		max := serve.MaxSustainable(oversubRates, ok)
-		r.set(fmt.Sprintf("%.2f/max-rate", factor), max)
-		row = append(row, cond(max > 0, fmt.Sprintf("%.0f", max), "none"))
+		key := fmt.Sprintf("%.2f", factor)
+		row, _ := r.ladder(key, oversubRates, oversubRates, cells[factor], key)
 		r.addRow(row...)
 	}
 	r.note("factor 1.00 is physical admission; above it zorua admits factor x the physical shared memory/registers/threads/thread-slots and pays spill traffic for the excess")

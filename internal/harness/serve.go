@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/autoscale"
+	"repro/internal/cluster"
 	"repro/internal/runners"
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -33,42 +35,102 @@ func serveTaskCount(p Params) int {
 	return p.Tasks
 }
 
-// serveCell enqueues one open-loop simulation and returns the slot holding
-// its summary after run(). The policy is constructed inside the cell so
-// stateful policies (the token bucket) stay private to the run, and arrivals
-// are regenerated per cell (generators are pure values), keeping cells
-// independent at any harness parallelism. Only the GPU schemes are swept:
-// the CPU baselines have no spawn path to meter against virtual-time
-// arrivals.
-func serveCell(s *sweep, b workloads.Benchmark, opt workloads.Options, cfg runners.Config,
-	gen serve.Generator, pol func() serve.Policy, sc runners.Scheme, slo sim.Time) *serve.Stats {
-	out := new(serve.Stats)
+// mbTasks is the task factory of the MB serving sweeps: n MB tasks of 128
+// threads, generated inside each cell.
+func mbTasks(n int, seed int64) func() []workloads.TaskDef {
+	b, _ := workloads.ByName("MB")
+	return func() []workloads.TaskDef { return b.Make(workloads.Options{Tasks: n, Threads: 128, Seed: seed}) }
+}
+
+// fleetOut is one serving cell's summary: fleet-wide latency/goodput stats,
+// the final per-node ledgers, the scale outcome (nil unless the fleet was
+// elastic) and the run's elapsed virtual time.
+type fleetOut struct {
+	st      serve.Stats
+	views   []cluster.NodeView
+	scale   *autoscale.Outcome
+	elapsed sim.Time
+}
+
+// fleetCell enqueues one serving simulation — a one-node open loop, a fixed
+// fleet or an elastic one, as co says — and returns the slot holding its
+// summary after run(). Tasks, arrivals and the routing policy are built
+// inside the cell, and co's Admit factory runs there per node, so stateful
+// policies stay private to the run and cells stay independent at any
+// harness parallelism. Conservation is checked before any number escapes.
+// Only the GPU schemes are swept: the CPU baselines have no spawn path to
+// meter against virtual-time arrivals.
+func fleetCell(s *sweep, mk func() []workloads.TaskDef, cfg runners.Config, sc runners.Scheme,
+	slo sim.Time, gen serve.Generator, co runners.ClusterOpenLoop, mkPol func() cluster.Policy) *fleetOut {
+	out := new(fleetOut)
 	s.add(func() {
-		tasks := b.Make(opt)
-		ol := runners.OpenLoop{Arrivals: gen.Times(len(tasks))}
-		if pol != nil {
-			ol.Admit = pol().Admit
+		tasks := mk()
+		co.Arrivals = gen.Times(len(tasks))
+		if mkPol != nil {
+			co.Policy = mkPol()
 		}
-		_, recs := sc.RunOpenLoop(tasks, ol, cfg)
-		*out = serve.Summarize(recs, slo)
+		res, cr := sc.RunCluster(tasks, co, cfg)
+		if err := cr.CheckConservation(); err != nil {
+			panic(fmt.Sprintf("harness: fleet leaked tasks: %v", err))
+		}
+		*out = fleetOut{st: serve.Summarize(cr.Recs, slo), views: cr.Views, scale: cr.Scale, elapsed: res.Elapsed}
 	})
 	return out
 }
 
-// servePolicies is the admission-control cross for ServeLatency. The token
-// bucket is shaped to half the offered rate (burst 32) so its effect is
-// visible at every point of the ladder rather than only past saturation.
-func servePolicies(rate float64) []struct {
+// imbalance is max routed / ideal share — 1.00 means a perfectly even split,
+// 4.00 on a 4-node fleet means one node took everything.
+func (o fleetOut) imbalance() float64 {
+	total, max := 0, 0
+	for _, v := range o.views {
+		total += v.Routed
+		if v.Routed > max {
+			max = v.Routed
+		}
+	}
+	if total == 0 {
+		return 1
+	}
+	return float64(max) * float64(len(o.views)) / float64(total)
+}
+
+// ladder builds one capacity-ladder row: the lead cells, one p99 cell per
+// rung (* marks a missed SLO) and the max sustainable rate, which it also
+// returns. MaxSustainable reads the offered rates; labels name the rungs in
+// the Values keys key/p99us/<label> and key/goodput/<label>. The max lands
+// under key/max-rate. Callers append any trailing cells and add the row.
+func (r *Report) ladder(key string, labels, offered []float64, outs []*fleetOut, lead ...string) ([]string, float64) {
+	row := append([]string(nil), lead...)
+	ok := make([]bool, len(outs))
+	for i, o := range outs {
+		ok[i] = o.st.SLOSatisfied()
+		row = append(row, cond(ok[i], us(o.st.P99), us(o.st.P99)+"*"))
+		r.set(fmt.Sprintf("%s/p99us/%.0f", key, labels[i]), o.st.P99/1e3)
+		r.set(fmt.Sprintf("%s/goodput/%.0f", key, labels[i]), o.st.Goodput)
+	}
+	max := serve.MaxSustainable(offered, ok)
+	r.set(key+"/max-rate", max)
+	return append(row, rateCell(max)), max
+}
+
+// rateCell renders a capacity table cell: the rate, or "none" when no rung
+// sustained the SLO.
+func rateCell(rate float64) string { return cond(rate > 0, fmt.Sprintf("%.0f", rate), "none") }
+
+// serveAdmissions is the admission-control cross for ServeLatency. The
+// token bucket is shaped to half the offered rate (burst 32) so its effect
+// is visible at every point of the ladder rather than only past saturation.
+func serveAdmissions(rate float64) []struct {
 	label string
-	mk    func() serve.Policy
+	admit func() func(sim.Time, int) bool
 } {
 	return []struct {
 		label string
-		mk    func() serve.Policy
+		admit func() func(sim.Time, int) bool
 	}{
-		{"unbounded", func() serve.Policy { return serve.Unbounded{} }},
-		{"queue64", func() serve.Policy { return serve.BoundedQueue{Limit: 64} }},
-		{"token", func() serve.Policy { return serve.NewTokenBucket(rate/2, 32) }},
+		{"unbounded", nil},
+		{"queue64", func() func(sim.Time, int) bool { return serve.BoundedQueue{Limit: 64}.Admit }},
+		{"token", func() func(sim.Time, int) bool { return serve.NewTokenBucket(rate/2, 32).Admit }},
 	}
 }
 
@@ -89,31 +151,30 @@ func ServeLatency(p Params) *Report {
 		"wait(us)", "service(us)", "drops", "goodput")
 	r.setSeed(p.Seed)
 
-	b, _ := workloads.ByName("MB")
-	opt := workloads.Options{Tasks: n, Threads: 128, Seed: p.Seed}
+	mk := mbTasks(n, p.Seed)
 	cfg := p.runnerCfg()
 
 	type latCell struct {
 		rate   float64
 		policy string
 		sc     runners.Scheme
-		st     *serve.Stats
+		out    *fleetOut
 	}
 	s := newSweep(p)
 	var cells []latCell
 	for _, rate := range rates {
 		gen := serve.Poisson{Rate: rate, Seed: p.Seed}
-		for _, pol := range servePolicies(rate) {
+		for _, adm := range serveAdmissions(rate) {
 			for _, sc := range p.gpuSchemes() {
-				cells = append(cells, latCell{rate, pol.label, sc,
-					serveCell(s, b, opt, cfg, gen, pol.mk, sc, slo)})
+				cells = append(cells, latCell{rate, adm.label, sc,
+					fleetCell(s, mk, cfg, sc, slo, gen, runners.ClusterOpenLoop{Admit: adm.admit}, nil)})
 			}
 		}
 	}
 	s.run()
 
 	for _, c := range cells {
-		st := *c.st
+		st := c.out.st
 		r.addRow(fmt.Sprintf("%.0f", c.rate), c.policy, c.sc.Display,
 			us(st.P50), us(st.P90), us(st.P99), us(st.Max),
 			us(st.MeanWait), us(st.MeanService),
@@ -151,36 +212,24 @@ func ServeCapacity(p Params) *Report {
 		header...)
 	r.setSeed(p.Seed)
 
-	b, _ := workloads.ByName("MB")
-	opt := workloads.Options{Tasks: n, Threads: 128, Seed: p.Seed}
+	mk := mbTasks(n, p.Seed)
 	cfg := p.runnerCfg()
 
 	s := newSweep(p)
 	schemes := p.gpuSchemes()
-	cells := make(map[string][]*serve.Stats)
+	cells := make(map[string][]*fleetOut)
 	for _, sc := range schemes {
 		for _, rate := range rates {
 			gen := serve.Poisson{Rate: rate, Seed: p.Seed}
-			cells[sc.Key] = append(cells[sc.Key], serveCell(s, b, opt, cfg, gen, nil, sc, slo))
+			cells[sc.Key] = append(cells[sc.Key], fleetCell(s, mk, cfg, sc, slo, gen, runners.ClusterOpenLoop{}, nil))
 		}
 	}
 	s.run()
 
 	maxRates := make(map[string]float64)
 	for _, sc := range schemes {
-		row := []string{sc.Display}
-		ok := make([]bool, len(rates))
-		for i, rate := range rates {
-			st := *cells[sc.Key][i]
-			ok[i] = st.SLOSatisfied()
-			row = append(row, cond(ok[i], us(st.P99), us(st.P99)+"*"))
-			r.set(fmt.Sprintf("%s/p99us/%.0f", sc.Key, rate), st.P99/1e3)
-			r.set(fmt.Sprintf("%s/goodput/%.0f", sc.Key, rate), st.Goodput)
-		}
-		max := serve.MaxSustainable(rates, ok)
+		row, max := r.ladder(sc.Key, rates, rates, cells[sc.Key], sc.Display)
 		maxRates[sc.Key] = max
-		r.set(sc.Key+"/max-rate", max)
-		row = append(row, cond(max > 0, fmt.Sprintf("%.0f", max), "none"))
 		r.addRow(row...)
 	}
 	r.note("max sustainable rate under the %.0fus p99 SLO: %s (highest ladder rate whose whole prefix met the SLO with no drops)",

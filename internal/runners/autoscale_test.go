@@ -29,7 +29,7 @@ func elasticTestScaler(policy string, min, max int) *autoscale.Config {
 // TestElasticDisabledMatchesFixedFleet is the acceptance pin from the issue:
 // with autoscaling disabled (min = max = N) every scheme's cluster run must
 // reproduce the fixed-fleet records, routing, views and aggregates bit for
-// bit — the Scaler knob normalizes away instead of perturbing the run.
+// bit — a Min == Max scaler is the same fleet with no controller.
 func TestElasticDisabledMatchesFixedFleet(t *testing.T) {
 	const n, nodesN = 64, 3
 	tasks := clusterTestTasks(t, n)

@@ -14,10 +14,10 @@ import (
 // ClusterOpenLoop generalizes OpenLoop over a fleet: N identical devices
 // (each with its own PCIe bus and scheme instance) share one engine and one
 // virtual clock, a front-end dispatcher consumes the arrival stream, and a
-// cluster.Policy routes each task to a node. Per-node admission reuses the
-// serve.Policy shape and is consulted at the scheme's own presentation point
-// — at the spawn point for Pagoda/HyperQ, at arrival for GeMTC. The open
-// loop is this driver on one round-robin node.
+// cluster.Policy routes each task to a node. Each node consults one
+// admission hook at the scheme's own presentation point — at the spawn
+// point for Pagoda/HyperQ, at arrival for GeMTC. The open loop is this
+// driver on one round-robin node.
 type ClusterOpenLoop struct {
 	// Arrivals holds one nondecreasing virtual-cycle instant per task.
 	Arrivals []sim.Time
@@ -33,9 +33,10 @@ type ClusterOpenLoop struct {
 	// hand each run a freshly constructed one.
 	Policy cluster.Policy
 
-	// Admit builds one fresh admission policy per node (serve.Policy.Admit
-	// satisfies the returned signature); nil admits everything. Fresh-per-
-	// node matters for stateful policies like the token bucket.
+	// Admit builds one fresh admission rule per node (serve.BoundedQueue's
+	// and serve.TokenBucket's Admit methods satisfy the returned signature);
+	// nil admits everything. Fresh-per-node matters for stateful rules like
+	// the token bucket.
 	Admit func() func(now sim.Time, inFlight int) bool
 
 	// AdmitTask, when non-nil, takes precedence over Admit on every node:
@@ -46,30 +47,17 @@ type ClusterOpenLoop struct {
 	// where they would consult Admit.
 	AdmitTask func(ti int, now sim.Time, inFlight int) bool
 
-	// Scaler, when it asks for elasticity (Max > Min), replaces the fixed
-	// Nodes fleet with an autoscale.Fleet: nodes warm up, drain and retire
-	// under the configured scaling policy and the run reports an
-	// autoscale.Outcome in ClusterRun.Scale. A disabled scaler (nil, or
-	// Min == Max) normalizes to the fixed-fleet path — bit-identical to
-	// pre-autoscale cluster runs, pinned by test.
+	// Scaler, when set, sizes the fleet instead of Nodes. An elastic config
+	// (Max > Min) lets nodes warm up, drain and retire under its scaling
+	// policy, and the run reports an autoscale.Outcome in ClusterRun.Scale.
+	// Min == Max is a fixed fleet of Min nodes with no controller —
+	// bit-identical to Nodes = Min, pinned by test.
 	Scaler *autoscale.Config
 
 	// Trace, when enabled, receives each completed task's wait/service spans
 	// on a per-node track ("node00/serve-pagoda", ...). Track names are
 	// zero-padded so lexicographic track ordering is node ordering.
 	Trace *trace.Tracer
-}
-
-// normalize folds a disabled scaler into the fixed-fleet shape: Min == Max
-// means a fleet that can never scale, which is exactly Nodes = Min on a
-// static fleet — the delegation that makes "autoscaling off" reproduce
-// fixed-fleet records bit for bit.
-func (co ClusterOpenLoop) normalize() ClusterOpenLoop {
-	if co.Scaler != nil && !co.Scaler.Enabled() {
-		co.Nodes = co.Scaler.Min
-		co.Scaler = nil
-	}
-	return co
 }
 
 func (co ClusterOpenLoop) nodes() int {
@@ -79,11 +67,17 @@ func (co ClusterOpenLoop) nodes() int {
 	return co.Nodes
 }
 
-func (co ClusterOpenLoop) nodeAdmit() func(sim.Time, int) bool {
+// nodeAdmit resolves one node's admission hook: the fleet-wide AdmitTask,
+// else a fresh Admit rule, else nil (admit everything).
+func (co ClusterOpenLoop) nodeAdmit() func(int, sim.Time, int) bool {
+	if co.AdmitTask != nil {
+		return co.AdmitTask
+	}
 	if co.Admit == nil {
 		return nil
 	}
-	return co.Admit()
+	admit := co.Admit()
+	return func(_ int, now sim.Time, inFlight int) bool { return admit(now, inFlight) }
 }
 
 // ClusterRun is the fleet-level outcome alongside the aggregate Result: the
@@ -159,55 +153,46 @@ type node interface {
 type newNodeFunc func(eng *sim.Engine, name string, tasks []workloads.TaskDef, recs []serve.Record, cfg Config) node
 
 // runFleet is the one serving driver behind every scheme's RunOpenLoop and
-// RunCluster. It builds nodes either up front (a fixed fleet of co.Nodes) or
-// on demand (an autoscale.Fleet stepped by a controller process at the
-// scaler's interval), routes every arrival through one cluster.Dispatcher,
-// and assembles Result and ClusterRun from the records and nodes. Scale-out
-// provisions a node whose engine processes spawn mid-run — legal on the
-// event engine, same mechanism as HyperQ's waiter procs — and scale-in
-// reuses Node.Close, so draining is the scheme's own drain path.
+// RunCluster. Every fleet is an autoscale.Fleet: a fixed one is the
+// Min == Max case, built up front in id order with no controller. An
+// elastic one also gets a controller process that steps it at the scaler's
+// interval. Every arrival is routed through one cluster.Dispatcher, and
+// Result and ClusterRun are assembled from the records and nodes.
+// Scale-out provisions a node whose engine processes spawn mid-run — legal
+// on the event engine, same mechanism as HyperQ's waiter procs — and
+// scale-in reuses Node.Close, so draining is the scheme's own drain path.
 func runFleet(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config,
 	scheme string, newNode newNodeFunc) (Result, ClusterRun) {
-	co = co.normalize()
+	scaler := autoscale.Config{Min: co.nodes(), Max: co.nodes()}
+	if co.Scaler != nil {
+		scaler = *co.Scaler
+	}
 	eng := sim.New()
 	recs := make([]serve.Record, len(tasks))
 	var nodes []node
-	build := func(id int) node {
+	var fleet *autoscale.Fleet
+	fleet, err := autoscale.NewFleet(eng, scaler, func(id int) cluster.Node {
 		n := newNode(eng, fmt.Sprintf("node%02d", id), tasks, recs, cfg)
 		b := n.base()
 		b.admit = co.nodeAdmit()
-		b.admitTask = co.AdmitTask
-		nodes = append(nodes, n)
-		return n
-	}
-
-	var fleet cluster.Fleet
-	var elastic *autoscale.Fleet
-	if co.Scaler.Enabled() {
-		var err error
-		elastic, err = autoscale.NewFleet(eng, *co.Scaler, func(id int) cluster.Node {
-			n := build(id)
+		if scaler.Enabled() {
 			// Completions feed the scaler's rolling-p99 signal; recs[ti] is
 			// fully stamped before noteDone fires (the noteDone contract).
-			n.base().onDone = func(ti int) { elastic.NoteLatency(recs[ti].Done - recs[ti].Submit) }
-			return n
-		})
-		if err != nil {
-			panic(fmt.Sprintf("runners: %v", err))
+			b.onDone = func(ti int) { fleet.NoteLatency(recs[ti].Done - recs[ti].Submit) }
 		}
+		nodes = append(nodes, n)
+		return n
+	})
+	if err != nil {
+		panic(fmt.Sprintf("runners: %v", err))
+	}
+	if scaler.Enabled() {
 		eng.Spawn("autoscaler", func(p *sim.Proc) {
-			for !elastic.Closed() {
-				p.Sleep(elastic.Interval())
-				elastic.Step(p.Now())
+			for !fleet.Closed() {
+				p.Sleep(fleet.Interval())
+				fleet.Step(p.Now())
 			}
 		})
-		fleet = elastic
-	} else {
-		static := make([]cluster.Node, co.nodes())
-		for i := range static {
-			static[i] = build(i)
-		}
-		fleet = cluster.Static(static)
 	}
 
 	nodeOf := make([]int, len(tasks))
@@ -238,9 +223,9 @@ func runFleet(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config,
 	}
 	res.Occupancy = occ / float64(len(nodes))
 	res.IssueUtil = iu / float64(len(nodes))
-	if elastic != nil {
-		elastic.Finish(end)
-		out := elastic.Outcome()
+	if scaler.Enabled() {
+		fleet.Finish(end)
+		out := fleet.Outcome()
 		cr.Scale = &out
 	}
 	return res, cr
@@ -269,9 +254,8 @@ func runBatch(tasks []workloads.TaskDef, cfg Config, newNode newNodeFunc) (node,
 type nodeBase struct {
 	name      string
 	view      cluster.NodeView
-	admit     func(sim.Time, int) bool
-	admitTask func(int, sim.Time, int) bool // fleet-wide, takes precedence
-	onDone    func(ti int)                  // completion hook (elastic fleets)
+	admit     func(ti int, now sim.Time, inFlight int) bool
+	onDone    func(ti int) // completion hook (elastic fleets)
 	admitted  int
 	completed int
 	closed    bool
@@ -281,13 +265,10 @@ func (n *nodeBase) Name() string           { return n.name }
 func (n *nodeBase) View() cluster.NodeView { return n.view }
 func (n *nodeBase) base() *nodeBase        { return n }
 
-// admitNow consults the fleet-wide task-aware layer first, then the node's
-// own policy, with the node-local in-flight count.
+// admitNow consults the node's admission hook, if any, with the node-local
+// in-flight count.
 func (n *nodeBase) admitNow(ti int, t sim.Time) bool {
-	if n.admitTask != nil {
-		return n.admitTask(ti, t, n.admitted-n.completed)
-	}
-	return n.admit == nil || n.admit(t, n.admitted-n.completed)
+	return n.admit == nil || n.admit(ti, t, n.admitted-n.completed)
 }
 
 // noteDone records one task completion in the ledger; the scheme node must

@@ -16,19 +16,14 @@ type OpenLoop struct {
 	// Arrivals holds one nondecreasing virtual-cycle instant per task.
 	Arrivals []sim.Time
 
-	// Admit, when non-nil, is consulted at each arrival with the current
-	// virtual time and the number of admitted-but-uncompleted tasks; a false
-	// return drops the task (serve.Policy.Admit satisfies this signature).
-	Admit func(now sim.Time, inFlight int) bool
-
-	// AdmitTask, when non-nil, takes precedence over Admit and additionally
-	// receives the task's index, so a class-aware layer (internal/tenancy)
-	// can key the decision on which tenant the task belongs to. Runners call
-	// it exactly once per task, at the same presentation point where Admit
-	// would run; under Pagoda's multi-spawner host path calls are NOT
-	// guaranteed to arrive in task-index order, only at nondecreasing
-	// per-spawner instants — implementations must key on the index argument,
-	// never on call order.
+	// AdmitTask, when non-nil, is consulted once per task at the scheme's
+	// presentation point with the task's index, the current virtual time and
+	// the number of admitted-but-uncompleted tasks; a false return drops the
+	// task. The index lets a class-aware layer (internal/tenancy) key the
+	// decision on which tenant the task belongs to. Under Pagoda's
+	// multi-spawner host path calls are NOT guaranteed to arrive in
+	// task-index order, only at nondecreasing per-spawner instants —
+	// implementations must key on the index argument, never on call order.
 	AdmitTask func(ti int, now sim.Time, inFlight int) bool
 
 	// Trace, when enabled, receives two spans per completed task — cat
@@ -38,15 +33,12 @@ type OpenLoop struct {
 }
 
 // runOpenLoop is every scheme's RunOpenLoop: the fleet driver on one
-// round-robin node, sharing ol.Admit as that node's admission policy. Serve
+// round-robin node, with ol.AdmitTask as that node's admission hook. Serve
 // spans land on the "serve-<scheme>" track rather than the fleet's per-node
 // track.
 func runOpenLoop(tasks []workloads.TaskDef, ol OpenLoop, cfg Config,
 	scheme string, newNode newNodeFunc) (Result, []serve.Record) {
 	co := ClusterOpenLoop{Arrivals: ol.Arrivals, AdmitTask: ol.AdmitTask}
-	if ol.Admit != nil {
-		co.Admit = func() func(sim.Time, int) bool { return ol.Admit }
-	}
 	res, cr := runFleet(tasks, co, cfg, scheme, newNode)
 	addServeSpans(ol.Trace, "serve-"+scheme, cr.Recs, cr.NodeOf, 0)
 	return res, cr.Recs

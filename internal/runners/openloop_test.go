@@ -102,6 +102,11 @@ func TestOpenLoopRecordsWellFormed(t *testing.T) {
 	}
 }
 
+// taskAdmit lifts a task-blind admission rule to the AdmitTask shape.
+func taskAdmit(admit func(sim.Time, int) bool) func(int, sim.Time, int) bool {
+	return func(_ int, now sim.Time, inFlight int) bool { return admit(now, inFlight) }
+}
+
 // TestOpenLoopBoundedQueueDrops: a saturating burst against a tiny admission
 // bound must shed load, and dropped records must carry no timing.
 func TestOpenLoopBoundedQueueDrops(t *testing.T) {
@@ -112,7 +117,7 @@ func TestOpenLoopBoundedQueueDrops(t *testing.T) {
 		r := r
 		t.Run(r.name, func(t *testing.T) {
 			t.Parallel()
-			res, recs := r.run(tasks, OpenLoop{Arrivals: arr, Admit: pol.Admit}, olConfig())
+			res, recs := r.run(tasks, OpenLoop{Arrivals: arr, AdmitTask: taskAdmit(pol.Admit)}, olConfig())
 			dropped := 0
 			for i, rec := range recs {
 				if rec.Dropped {

@@ -138,9 +138,9 @@ func TestServeRecordGolden(t *testing.T) {
 			var outcomes func() []tenancy.Outcome
 			switch name {
 			case "queue6":
-				ol.Admit = serve.BoundedQueue{Limit: 6}.Admit
+				ol.AdmitTask = taskAdmit(serve.BoundedQueue{Limit: 6}.Admit)
 			case "token":
-				ol.Admit = serve.NewTokenBucket(rate/2, 4).Admit
+				ol.AdmitTask = taskAdmit(serve.NewTokenBucket(rate/2, 4).Admit)
 			case tenancy.AdmitStrict, tenancy.AdmitWFQ:
 				adm := tenancy.NewAdmission(name, classes, poisson, classOf, 8, true)
 				ol.AdmitTask, outcomes = adm.AdmitTask, adm.Outcomes

@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -76,6 +77,24 @@ func run(out, errw io.Writer, args []string) int {
 		fmt.Fprintf(errw, "-tasks %d: every benchmark needs at least one task\n", *tasks)
 		return 2
 	}
+	if *smms < 1 {
+		fmt.Fprintf(errw, "-smms %d: the device needs at least one SMM\n", *smms)
+		return 2
+	}
+	if !(*slo > 0) || math.IsInf(*slo, 0) {
+		fmt.Fprintf(errw, "-slo %g: the p99 SLO must be a positive, finite number of microseconds\n", *slo)
+		return 2
+	}
+	if *parallel < 0 {
+		fmt.Fprintf(errw, "-parallel %d: use 0 for one cell per CPU or a positive cell count\n", *parallel)
+		return 2
+	}
+	switch *format {
+	case "text", "csv", "json":
+	default:
+		fmt.Fprintf(errw, "-format %s: want text, csv or json\n", *format)
+		return 2
+	}
 	if *nodes < 1 {
 		fmt.Fprintf(errw, "-nodes %d: a cluster needs at least one node\n", *nodes)
 		return 2
@@ -105,6 +124,11 @@ func run(out, errw io.Writer, args []string) int {
 	}
 	if *tenants < 1 {
 		fmt.Fprintf(errw, "-tenants %d: need at least one tenant class\n", *tenants)
+		return 2
+	}
+	if *misbehave < -1 || *misbehave >= *tenants {
+		fmt.Fprintf(errw, "-misbehave %d: no such class among -tenants %d (use 0..%d, or -1 for all honest)\n",
+			*misbehave, *tenants, *tenants-1)
 		return 2
 	}
 	p := harness.Params{Tasks: *tasks, SMMs: *smms, Seed: *seed, Parallel: *parallel,

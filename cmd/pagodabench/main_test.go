@@ -384,3 +384,66 @@ func TestAutoscaleFlagsReachExperiment(t *testing.T) {
 		t.Errorf("-autoscale predictive still ran reactive:\n%s", got)
 	}
 }
+
+// TestRejectsBadRunFlags: run-shape flags the harness used to default
+// silently, an unknown -format and a -misbehave class that does not exist
+// each exit 2 with a message naming the flag, before any experiment runs.
+func TestRejectsBadRunFlags(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-format", "xml"}, "-format xml"},
+		{[]string{"-smms", "0"}, "-smms 0"},
+		{[]string{"-smms", "-2"}, "-smms -2"},
+		{[]string{"-slo", "0"}, "-slo 0"},
+		{[]string{"-slo", "-5"}, "-slo -5"},
+		{[]string{"-parallel", "-3"}, "-parallel -3"},
+		{[]string{"-misbehave", "7", "-tenants", "3"}, "-misbehave 7"},
+		{[]string{"-misbehave", "-2"}, "-misbehave -2"},
+	}
+	for _, c := range cases {
+		var out, errw strings.Builder
+		args := append([]string{"-exp", "tenant_qos"}, c.args...)
+		if code := run(&out, &errw, args); code != 2 {
+			t.Errorf("run(%v) = %d, want 2 (stderr %q)", args, code, errw.String())
+			continue
+		}
+		if !strings.Contains(errw.String(), c.want) {
+			t.Errorf("run(%v) stderr = %q, want mention of %q", args, errw.String(), c.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("rejected run(%v) wrote stdout %q", args, out.String())
+		}
+	}
+}
+
+// TestMisbehaveZeroIsClassZero: -misbehave is the class index itself, so 0
+// makes the premium class misbehave — the title says so and strict
+// admission sheds premium tasks — and -1 titles the run all honest.
+func TestMisbehaveZeroIsClassZero(t *testing.T) {
+	runQoS := func(misbehave string) map[string]any {
+		t.Helper()
+		var out, errw strings.Builder
+		args := []string{"-exp", "tenant_qos", "-tasks", "96", "-smms", "4", "-scheme", "pagoda",
+			"-misbehave", misbehave, "-format", "json"}
+		if code := run(&out, &errw, args); code != 0 {
+			t.Fatalf("run(%v) = %d, stderr %q", args, code, errw.String())
+		}
+		var doc map[string]any
+		if err := json.Unmarshal([]byte(out.String()), &doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	doc := runQoS("0")
+	if title := doc["title"].(string); !strings.Contains(title, "class 0 at 10x contract") {
+		t.Errorf("-misbehave 0 title = %q, want class 0 named", title)
+	}
+	if shed := doc["values"].(map[string]any)["strict/premium/pagoda/shed"].(float64); shed == 0 {
+		t.Error("-misbehave 0: the premium class was never shed under strict admission")
+	}
+	if title := runQoS("-1")["title"].(string); !strings.Contains(title, "all honest") {
+		t.Errorf("-misbehave -1 title = %q, want all honest", title)
+	}
+}

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -78,6 +79,15 @@ func run(w io.Writer, args []string) error {
 	out := fs.String("o", "trace.json", "output file")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *tasks < 1 {
+		return fmt.Errorf("pagodatrace: -tasks %d: need at least one task", *tasks)
+	}
+	if *smms < 1 {
+		return fmt.Errorf("pagodatrace: -smms %d: the device needs at least one SMM", *smms)
+	}
+	if !(*rate > 0) || math.IsInf(*rate, 0) {
+		return fmt.Errorf("pagodatrace: -rate %g: the offered rate must be positive and finite", *rate)
 	}
 	if *nodes > 0 && *tenants > 0 {
 		return fmt.Errorf("pagodatrace: -nodes and -tenants are mutually exclusive modes")

@@ -239,3 +239,28 @@ func TestAutoscaleTraceRejectsBadFlags(t *testing.T) {
 		t.Error("run accepted an unknown scaling policy")
 	}
 }
+
+// TestRunRejectsBadFlags: a non-positive task count, SMM count or offered
+// rate returns an error naming the flag instead of panicking mid-run; the
+// rate is checked in every mode that offers arrivals.
+func TestRunRejectsBadFlags(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-tasks", "-3"}, "-tasks -3"},
+		{[]string{"-tasks", "0"}, "-tasks 0"},
+		{[]string{"-smms", "0"}, "-smms 0"},
+		{[]string{"-rate", "0", "-nodes", "2"}, "-rate 0"},
+		{[]string{"-rate", "0", "-tenants", "3"}, "-rate 0"},
+		{[]string{"-rate", "-5", "-autoscale", "reactive"}, "-rate -5"},
+	}
+	for _, c := range cases {
+		args := append(c.args, "-o", filepath.Join(t.TempDir(), "t.json"))
+		var sb strings.Builder
+		err := run(&sb, args)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("run(%v) = %v, want an error naming %q", args, err, c.want)
+		}
+	}
+}

@@ -59,15 +59,14 @@ type Params struct {
 	// autoscale.PolicyNames); empty sweeps all of them.
 	Autoscale string
 
-	// Misbehave selects which tenant class offers 10x its contracted rate
-	// in tenant_qos: 0 (the zero value) means the default — the standard
-	// class, index 1 — a negative value disables misbehavior, and any
-	// other value is the class index itself.
+	// Misbehave is the index of the tenant class that offers 10x its
+	// contracted rate in tenant_qos; -1 makes every class honest.
+	// DefaultParams picks 1, the standard class.
 	Misbehave int
 }
 
 // DefaultParams returns the laptop-scale defaults.
-func DefaultParams() Params { return Params{Tasks: 2048, SMMs: 24, Seed: 1} }
+func DefaultParams() Params { return Params{Tasks: 2048, SMMs: 24, Seed: 1, Misbehave: 1} }
 
 func (p Params) fill() Params {
 	if p.Tasks <= 0 {
@@ -92,18 +91,6 @@ func (p Params) fill() Params {
 		p.MaxNodes = 8
 	}
 	return p
-}
-
-// misbehaveIdx resolves the Misbehave convention to a class index (-1 for
-// an all-honest run).
-func (p Params) misbehaveIdx() int {
-	if p.Misbehave < 0 {
-		return -1
-	}
-	if p.Misbehave == 0 {
-		return 1
-	}
-	return p.Misbehave
 }
 
 func (p Params) runnerCfg() runners.Config {

@@ -19,7 +19,7 @@ func mustGet(t *testing.T, r *Report, key string) float64 {
 }
 
 // testParams keeps harness runs quick while preserving shapes.
-func testParams() Params { return Params{Tasks: 192, SMMs: 8, Seed: 1} }
+func testParams() Params { return Params{Tasks: 192, SMMs: 8, Seed: 1, Misbehave: 1} }
 
 func TestGeomean(t *testing.T) {
 	if g := geomean([]float64{2, 8}); g != 4 {

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt lint test vet race race-harness perf perf-quick perf-update digests bench-engine bench-serve bench-cluster
+.PHONY: check fmt lint test vet race race-harness perf perf-quick perf-update digests loc bench-engine bench-serve bench-cluster
 
 # check is the pre-merge gate, in order: gofmt, the determinism analyzers
 # (pagodavet), go vet, the full test suite, race detection across the
@@ -76,6 +76,12 @@ digests:
 		case "$$out" in *'"failed":0,'*) echo "digests: $$w ok" ;; \
 		*) echo "digests: $$w failed its checks: $$out"; exit 1 ;; esac; \
 	done
+
+# loc prints the Go line counts ROADMAP tracks: non-test and test lines,
+# leaving out the benchmark driver (simbench/) and its build directory.
+loc:
+	@echo "non-test Go lines: $$(find . -name '*.go' -not -name '*_test.go' -not -path './simbench/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
+	@echo "test Go lines: $$(find . -name '*_test.go' -not -path './simbench/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
 
 bench-engine:
 	$(GO) test -bench=BenchmarkEngine -benchtime=1x -run='^$$' ./internal/sim/ .

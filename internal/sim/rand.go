@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // Rand is the simulator's one seeded pseudo-random generator, a 64-bit
 // xorshift. Arrival streams (serve), power-of-two-choices routing (cluster)
 // and task-input draws (workloads) all use it, so a seeded sequence is the
@@ -31,7 +29,7 @@ func (x *Rand) Uint64() uint64 {
 // Intn returns a draw from [0, n); n must be positive.
 func (x *Rand) Intn(n int) int {
 	if n <= 0 {
-		panic(fmt.Sprintf("sim: Intn bound %d is not positive", n))
+		panic("sim: Intn bound is not positive")
 	}
 	return int(x.Uint64() % uint64(n))
 }

@@ -60,13 +60,6 @@ type ClusterOpenLoop struct {
 	Trace *trace.Tracer
 }
 
-func (co ClusterOpenLoop) nodes() int {
-	if co.Nodes <= 0 {
-		return 1
-	}
-	return co.Nodes
-}
-
 // nodeAdmit resolves one node's admission hook: the fleet-wide AdmitTask,
 // else a fresh Admit rule, else nil (admit everything).
 func (co ClusterOpenLoop) nodeAdmit() func(int, sim.Time, int) bool {
@@ -163,7 +156,8 @@ type newNodeFunc func(eng *sim.Engine, name string, tasks []workloads.TaskDef, r
 // scale-in reuses Node.Close, so draining is the scheme's own drain path.
 func runFleet(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config,
 	scheme string, newNode newNodeFunc) (Result, ClusterRun) {
-	scaler := autoscale.Config{Min: co.nodes(), Max: co.nodes()}
+	size := max(co.Nodes, 1)
+	scaler := autoscale.Config{Min: size, Max: size}
 	if co.Scaler != nil {
 		scaler = *co.Scaler
 	}

@@ -161,7 +161,7 @@ func runFleet(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config,
 	if co.Scaler != nil {
 		scaler = *co.Scaler
 	}
-	eng := sim.New()
+	eng := newEngine()
 	recs := make([]serve.Record, len(tasks))
 	var nodes []node
 	var fleet *autoscale.Fleet
@@ -231,7 +231,7 @@ func runFleet(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config,
 // and a Result holding Elapsed and the node's device metrics; the caller
 // adds its scheme's latency notion.
 func runBatch(tasks []workloads.TaskDef, cfg Config, newNode newNodeFunc) (node, []serve.Record, Result) {
-	eng := sim.New()
+	eng := newEngine()
 	recs := make([]serve.Record, len(tasks))
 	n := newNode(eng, "batch", tasks, recs, cfg)
 	for ti := range tasks {

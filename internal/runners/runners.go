@@ -107,7 +107,11 @@ type system struct {
 	ctx *cuda.Context
 }
 
-func newSystem(cfg Config) *system { return newSystemOn(sim.New(), cfg) }
+func newSystem(cfg Config) *system { return newSystemOn(newEngine(), cfg) }
+
+// newEngine builds every engine a runner owns; the work-counter test swaps
+// it to observe the engines of closed-loop runs.
+var newEngine = sim.New
 
 // newSystemOn builds one device + bus + context stack on an existing engine.
 // Single-device runs own their engine (newSystem); cluster runs place N of

@@ -152,3 +152,22 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		}
 	}
 }
+
+func TestWorkCounters(t *testing.T) {
+	e := New()
+	e.Schedule(1, func() {})
+	e.Spawn("a", func(p *Proc) {
+		p.Sleep(5)
+		p.Sleep(1) // next event is a's own wake-up: it resumes itself
+	})
+	e.Spawn("b", func(p *Proc) { p.Sleep(7) })
+	e.Run()
+	// Events: the callback, two start resumes and three sleep wake-ups.
+	// Hand-offs: a's start (from Run), b's start (from a), a's wake at 5
+	// (from b) and b's wake at 7 (from a, once it finished). a's wake at 6
+	// is a self-resume.
+	events, handoffs := e.Work()
+	if events != 6 || handoffs != 4 {
+		t.Errorf("Work() = %d events, %d handoffs; want 6, 4", events, handoffs)
+	}
+}

@@ -92,3 +92,29 @@ func TestIrregularMatrix(t *testing.T) {
 		})
 	}
 }
+
+// TestXFMRVerifyAcrossTokenCounts checks the transformer layer's real math
+// under every GPU scheme and fusion at sequence lengths on both sides of one
+// warp's worth of token rows. Above 32 tokens a second warp owns rows that
+// the first reads after a barrier, so the layer is only right if the warps
+// of one task execution share their intermediate buffers.
+func TestXFMRVerifyAcrossTokenCounts(t *testing.T) {
+	b, err := workloads.ByName("XFMR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := append(Schemes(), Scheme{Key: "fusion", Run: RunFusion})
+	for _, tokens := range []int{16, 32, 48, 64} {
+		for _, sc := range runs {
+			tasks := b.Make(workloads.Options{Tasks: 4, Verify: true, Seed: 3, InputSize: tokens})
+			if r := sc.Run(tasks, smallCfg()); r.Tasks != len(tasks) {
+				t.Fatalf("%s/%d tokens: completed %d of %d", sc.Key, tokens, r.Tasks, len(tasks))
+			}
+			for i, td := range tasks {
+				if err := td.Check(); err != nil {
+					t.Errorf("%s/%d tokens: task %d: %v", sc.Key, tokens, i, err)
+				}
+			}
+		}
+	}
+}

@@ -35,8 +35,8 @@ import (
 //
 // Sinks (where a value starts steering simulated time, and therefore every
 // published number derived from it): the delay/deadline arguments of
-// sim.Engine.Schedule/ScheduleAt, sim.Timer.Reset/ResetAt and
-// sim.Proc.Sleep. Every golden virtual time, latency percentile and
+// sim.Engine.Schedule/ScheduleAt/ScheduleStep/RunUntil,
+// sim.Timer.Reset/ResetAt and sim.Proc.Sleep/WakeAfter. Every golden virtual time, latency percentile and
 // capacity headline is a pure function of the times entering the event
 // heap, so these entry points are the chokepoint for "feeds published
 // output". Matching is by package base name ("sim"), receiver and method,
@@ -138,9 +138,11 @@ var baseSinks = []struct {
 	{"Engine", "Schedule", 0, "sim.Engine.Schedule delay"},
 	{"Engine", "ScheduleAt", 0, "sim.Engine.ScheduleAt deadline"},
 	{"Engine", "RunUntil", 0, "sim.Engine.RunUntil deadline"},
+	{"Engine", "ScheduleStep", 0, "sim.Engine.ScheduleStep delay"},
 	{"Timer", "Reset", 0, "sim.Timer.Reset delay"},
 	{"Timer", "ResetAt", 0, "sim.Timer.ResetAt deadline"},
 	{"Proc", "Sleep", 0, "sim.Proc.Sleep duration"},
+	{"Proc", "WakeAfter", 0, "sim.Proc.WakeAfter delay"},
 }
 
 // baseSinkOf matches a resolved callee against the sink table.

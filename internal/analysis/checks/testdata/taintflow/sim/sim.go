@@ -10,9 +10,13 @@ type Time int64
 // Engine mirrors the real event loop's scheduling surface.
 type Engine struct{ now Time }
 
-func (e *Engine) Schedule(d Time, fn func())    {}
-func (e *Engine) ScheduleAt(at Time, fn func()) {}
-func (e *Engine) RunUntil(deadline Time) Time   { return e.now }
+func (e *Engine) Schedule(d Time, fn func())     {}
+func (e *Engine) ScheduleAt(at Time, fn func())  {}
+func (e *Engine) RunUntil(deadline Time) Time    { return e.now }
+func (e *Engine) ScheduleStep(d Time, s Stepper) {}
+
+// Stepper mirrors the event-loop state machine payload.
+type Stepper interface{ Step() }
 
 // Timer mirrors the re-armable one-shot timer.
 type Timer struct{ at Time }
@@ -23,4 +27,5 @@ func (t *Timer) ResetAt(at Time) { t.at = at }
 // Proc mirrors the engine process handle.
 type Proc struct{}
 
-func (p *Proc) Sleep(d Time) {}
+func (p *Proc) Sleep(d Time)     {}
+func (p *Proc) WakeAfter(d Time) {}

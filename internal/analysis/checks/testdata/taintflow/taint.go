@@ -50,6 +50,16 @@ func rearm(t *sim.Timer, jitter map[int]sim.Time) {
 	}
 }
 
+// stepNow and wakeNow feed the wall clock to the stepper's sinks: a deferred
+// cost step and the wake-up that ends a parked process's step chain.
+func stepNow(e *sim.Engine, s sim.Stepper) {
+	e.ScheduleStep(mkDelay(), s) // want `\[taintflow\] nondeterministic value reaches a sim-time sink: .*wall clock`
+}
+
+func wakeNow(p *sim.Proc) {
+	p.WakeAfter(mkDelay()) // want `\[taintflow\] nondeterministic value reaches a sim-time sink: .*wall clock`
+}
+
 // fromEnv launders the host environment through strconv.
 func fromEnv(e *sim.Engine) {
 	n, _ := strconv.ParseInt(os.Getenv("PAGODA_DELAY"), 10, 64)

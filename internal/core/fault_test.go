@@ -91,3 +91,26 @@ func TestFaultsDoNotLeakResources(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultChargedAfterRecordedOps: a kernel's cost ops are deferred, but
+// the ops it issued before faulting are still charged before the fault is
+// recorded.
+func TestFaultChargedAfterRecordedOps(t *testing.T) {
+	eng, rt := faultSystem(t)
+	var start, faultAt sim.Time
+	rt.OnTaskFault = func(TaskID, any) { faultAt = eng.Now() }
+	runHost(t, eng, rt, func(p *sim.Proc) {
+		rt.TaskSpawn(p, TaskSpec{
+			Threads: 32, Blocks: 1,
+			Kernel: func(tc *TaskCtx) {
+				start = tc.WarpCtx().Now()
+				tc.Compute(5000)
+				panic("fault after compute")
+			},
+		})
+		rt.WaitAll(p)
+	})
+	if faultAt-start < 5000 {
+		t.Fatalf("fault recorded %v cycles after the kernel started, want >= 5000", faultAt-start)
+	}
+}

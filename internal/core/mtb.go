@@ -298,25 +298,25 @@ func (m *MTB) pSched(c *gpu.Ctx, baseWarp, eNum, smNode, smOffset, smSize, barID
 	}
 }
 
-// runTaskKernel invokes the task kernel, optionally isolating panics: a
-// faulty task kernel is recorded and its warps retire normally instead of
-// taking down the whole runtime — the software analogue of a kernel fault
-// killing one grid, not the GPU context.
+// runTaskKernel invokes the task kernel with its cost ops deferred
+// (gpu.Ctx.RunTask), optionally isolating panics: a faulty task kernel is
+// recorded and its warps retire normally instead of taking down the whole
+// runtime — the software analogue of a kernel fault killing one grid, not
+// the GPU context. RunTask's deferred flush runs before the recover, so the
+// ops a kernel issued before it faulted are charged first.
 func (m *MTB) runTaskKernel(tc *TaskCtx, e *deviceEntry) {
 	rt := m.rt
-	if !rt.Cfg.IsolateKernelPanics {
-		e.spec.Kernel(tc)
-		return
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			rt.failedTasks++
-			if rt.OnTaskFault != nil {
-				rt.OnTaskFault(e.id, r)
+	if rt.Cfg.IsolateKernelPanics {
+		defer func() {
+			if r := recover(); r != nil {
+				rt.failedTasks++
+				if rt.OnTaskFault != nil {
+					rt.OnTaskFault(e.id, r)
+				}
 			}
-		}
-	}()
-	e.spec.Kernel(tc)
+		}()
+	}
+	tc.gc.RunTask(func() { e.spec.Kernel(tc) })
 }
 
 // ---------------------------------------------------------------------------

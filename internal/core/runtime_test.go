@@ -314,33 +314,41 @@ func TestMultiThreadblockTask(t *testing.T) {
 
 func TestWarpLevelSchedulingOverlapsTasks(t *testing.T) {
 	// Two tasks of 8 warps each on a tiny device: Pagoda interleaves their
-	// warps in one MTB, so both are in flight concurrently.
+	// warps in one MTB, so both are in flight concurrently. Each task's warp
+	// 0 stamps its start and end in sim time (Now flushes deferred cost ops,
+	// so the stamps are exact), and some pair of spans must overlap.
 	eng, rt := testSystem(t, 1)
-	concurrent, maxConcurrent := 0, 0
+	const tasks = 6
+	var start, end [tasks]sim.Time
 	runHost(t, eng, rt, func(p *sim.Proc) {
-		for i := 0; i < 6; i++ {
+		for i := 0; i < tasks; i++ {
 			rt.TaskSpawn(p, TaskSpec{
 				Threads: 256, Blocks: 1,
 				Kernel: func(tc *TaskCtx) {
 					if tc.WarpInBlock() == 0 {
-						concurrent++
-						if concurrent > maxConcurrent {
-							maxConcurrent = concurrent
-						}
+						start[i] = tc.WarpCtx().Now()
 					}
 					tc.Compute(5000)
 					tc.GlobalRead(1024)
 					tc.Compute(5000)
 					if tc.WarpInBlock() == 0 {
-						concurrent--
+						end[i] = tc.WarpCtx().Now()
 					}
 				},
 			})
 		}
 		rt.WaitAll(p)
 	})
-	if maxConcurrent < 2 {
-		t.Fatalf("maxConcurrent = %d; warp-level scheduling should overlap tasks", maxConcurrent)
+	overlaps := 0
+	for i := 0; i < tasks; i++ {
+		for j := i + 1; j < tasks; j++ {
+			if start[i] < end[j] && start[j] < end[i] {
+				overlaps++
+			}
+		}
+	}
+	if overlaps == 0 {
+		t.Fatalf("no two task spans overlap (start %v, end %v); warp-level scheduling should overlap tasks", start, end)
 	}
 }
 

@@ -161,6 +161,10 @@ type Device struct {
 	caps occCaps
 
 	createdAt sim.Time
+
+	// recFree is the free list of cost-op recorders (Ctx.RunTask): one per
+	// warp concurrently inside a task kernel, at most, reused across tasks.
+	recFree []*recorder
 }
 
 // NewDevice builds a device on the given engine.
@@ -260,32 +264,34 @@ func (d *Device) pickSMM(spec LaunchSpec) *SMM {
 	return best
 }
 
-// startWarps spawns one simulation process per warp of the threadblock.
+// startWarps spawns one simulation process per warp of the threadblock. A
+// warp's process is named by its Ctx, so the name is built only when a
+// diagnostic asks for it.
 func (d *Device) startWarps(tb *threadBlock) {
-	spec := tb.kernel.Spec
+	spec := &tb.kernel.Spec
 	warps := spec.WarpsPerTB(d.Cfg)
 	for w := 0; w < warps; w++ {
-		w := w
-		name := fmt.Sprintf("%s/tb%d/w%d", spec.Name, tb.blockIdx, w)
-		d.Eng.Spawn(name, func(p *sim.Proc) {
-			if tb.spillDelay > 0 {
-				p.Sleep(tb.spillDelay)
-			}
-			ctx := &Ctx{
-				dev:         d,
-				smm:         tb.smm,
-				proc:        p,
-				BlockIdx:    tb.blockIdx,
-				GridDim:     spec.GridDim,
-				BlockDim:    spec.BlockThreads,
-				WarpInBlock: w,
-				Args:        spec.Args,
-				blockBar:    tb.barrier,
-			}
-			spec.Fn(ctx)
-			d.warpDone(tb)
-		})
+		c := &Ctx{
+			dev:         d,
+			tb:          tb,
+			BlockIdx:    tb.blockIdx,
+			GridDim:     spec.GridDim,
+			BlockDim:    spec.BlockThreads,
+			WarpInBlock: w,
+			Args:        spec.Args,
+		}
+		c.proc = d.Eng.SpawnNamed(c, c.run)
 	}
+}
+
+// run is a warp's process body.
+func (c *Ctx) run(p *sim.Proc) {
+	tb := c.tb
+	if tb.spillDelay > 0 {
+		p.Sleep(tb.spillDelay)
+	}
+	tb.kernel.Spec.Fn(c)
+	c.dev.warpDone(tb)
 }
 
 func (d *Device) warpDone(tb *threadBlock) {

@@ -123,12 +123,14 @@ func (k *superKernel) run(p *sim.Proc, stream *cuda.Stream, batch []int) {
 				// The whole worker threadblock runs the task (the
 				// SuperKernel's threadblock width is the task width; under
 				// MPE mixes narrow tasks are padded to it).
-				k.tasks[batch[idx]].Kernel(&warpAdapter{
-					g:        c,
-					threads:  k.threads,
-					blocks:   1,
-					blockIdx: 0,
-					warpInBl: c.WarpInBlock,
+				c.RunTask(func() {
+					k.tasks[batch[idx]].Kernel(&warpAdapter{
+						g:        c,
+						threads:  k.threads,
+						blocks:   1,
+						blockIdx: 0,
+						warpInBl: c.WarpInBlock,
+					})
 				})
 				c.SyncBlock()
 			}

@@ -111,13 +111,15 @@ func hyperqSpec(td *workloads.TaskDef) gpu.LaunchSpec {
 			if sharedPerTB != nil {
 				shared = sharedPerTB[c.BlockIdx]
 			}
-			td.Kernel(&warpAdapter{
-				g:        c,
-				threads:  td.Threads,
-				blocks:   td.Blocks,
-				blockIdx: c.BlockIdx,
-				warpInBl: c.WarpInBlock,
-				shared:   shared,
+			c.RunTask(func() {
+				td.Kernel(&warpAdapter{
+					g:        c,
+					threads:  td.Threads,
+					blocks:   td.Blocks,
+					blockIdx: c.BlockIdx,
+					warpInBl: c.WarpInBlock,
+					shared:   shared,
+				})
 			})
 		},
 	}

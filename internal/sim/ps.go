@@ -32,9 +32,12 @@ type PS struct {
 	queue float64
 }
 
+// psReq is one in-service request; its completion resumes proc or, when
+// proc is nil, schedules step's next step.
 type psReq struct {
 	remaining float64
 	proc      *Proc
+	step      Stepper
 }
 
 // NewPS returns a processor-sharing resource on e with the given per-request
@@ -98,8 +101,12 @@ func (r *PS) onTimer() {
 	r.settle()
 	kept := r.reqs[:0]
 	for i := range r.reqs {
-		if r.reqs[i].remaining <= psEps {
-			r.reqs[i].proc.wakeup()
+		if q := &r.reqs[i]; q.remaining <= psEps {
+			if q.proc != nil {
+				q.proc.wakeup()
+			} else {
+				r.eng.ScheduleStep(0, q.step)
+			}
 		} else {
 			kept = append(kept, r.reqs[i])
 		}
@@ -111,13 +118,33 @@ func (r *PS) onTimer() {
 // Acquire blocks p until work units of service have been delivered to it.
 // work <= 0 returns immediately.
 func (r *PS) Acquire(p *Proc, work float64) {
-	if work <= 0 {
-		return
+	if r.Enqueue(p, work) {
+		p.block()
+	}
+}
+
+// Enqueue puts a request for work units into service without blocking and
+// reports whether it did (work <= 0 needs no service). Its completion
+// resumes p, which must by then be blocked in Park.
+func (r *PS) Enqueue(p *Proc, work float64) bool {
+	return r.enqueue(psReq{remaining: work, proc: p})
+}
+
+// EnqueueStep is Enqueue for a Stepper: the request's completion schedules
+// s.Step (ScheduleStep with zero delay) where Enqueue would wake a process,
+// so it takes the same sequence number.
+func (r *PS) EnqueueStep(s Stepper, work float64) bool {
+	return r.enqueue(psReq{remaining: work, step: s})
+}
+
+func (r *PS) enqueue(q psReq) bool {
+	if q.remaining <= 0 {
+		return false
 	}
 	r.settle()
-	r.reqs = append(r.reqs, psReq{remaining: work, proc: p})
+	r.reqs = append(r.reqs, q)
 	r.rearm()
-	p.block()
+	return true
 }
 
 // Integrals settles accounting up to the current instant and returns

@@ -7,6 +7,9 @@
 //	pagodabench -exp fig5,fig6        # a chosen subset
 //	pagodabench -exp all -tasks 8192  # the full evaluation at a given scale
 //
+// -cpuprofile and -memprofile write runtime/pprof profiles of the run for
+// `go tool pprof`, to attribute host time and allocations to code.
+//
 // The paper's runs use -tasks 32768; the default 2048 preserves every shape
 // at laptop runtimes. Experiment cells (independent simulations) run on a
 // worker pool sized by -parallel; output is byte-identical at every width.
@@ -23,6 +26,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -38,7 +43,7 @@ func main() {
 
 // run executes the requested experiments; split from main so the smoke test
 // can drive the command without spawning a process.
-func run(out, errw io.Writer, args []string) int {
+func run(out, errw io.Writer, args []string) (code int) {
 	fs := flag.NewFlagSet("pagodabench", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	exp := fs.String("exp", "all", "experiment id(s), comma-separated: all, "+fmt.Sprint(harness.Experiments()))
@@ -58,6 +63,8 @@ func run(out, errw io.Writer, args []string) int {
 	misbehave := fs.Int("misbehave", 1, "tenant_qos class index offering 10x its contracted rate (-1 = all honest)")
 	format := fs.String("format", "text", "output format: text, csv, json")
 	list := fs.Bool("list", false, "list experiment ids and exit")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the experiments to this file (go tool pprof)")
+	memProfile := fs.String("memprofile", "", "write a heap profile, taken after the experiments, to this file (go tool pprof)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -142,6 +149,43 @@ func run(out, errw io.Writer, args []string) int {
 		return 2
 	}
 	multi := len(ids) > 1
+
+	// Both profile files are created before anything runs, so an unwritable
+	// path is rejected like any other bad flag.
+	var cpuOut, memOut *os.File
+	if *cpuProfile != "" {
+		if cpuOut, err = os.Create(*cpuProfile); err != nil {
+			fmt.Fprintf(errw, "-cpuprofile %s: %v\n", *cpuProfile, err)
+			return 2
+		}
+		defer cpuOut.Close()
+	}
+	if *memProfile != "" {
+		if memOut, err = os.Create(*memProfile); err != nil {
+			fmt.Fprintf(errw, "-memprofile %s: %v\n", *memProfile, err)
+			return 2
+		}
+		defer func() {
+			runtime.GC() // up-to-date in-use statistics
+			err := pprof.WriteHeapProfile(memOut)
+			if cerr := memOut.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				fmt.Fprintf(errw, "-memprofile %s: %v\n", *memProfile, err)
+				if code == 0 {
+					code = 1
+				}
+			}
+		}()
+	}
+	if cpuOut != nil {
+		if err := pprof.StartCPUProfile(cpuOut); err != nil {
+			fmt.Fprintf(errw, "-cpuprofile %s: %v\n", *cpuProfile, err)
+			return 1
+		}
+		defer pprof.StopCPUProfile()
+	}
 
 	var reps []*harness.Report
 	for _, id := range ids {

@@ -3,6 +3,8 @@ package main
 import (
 	"encoding/csv"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -445,5 +447,51 @@ func TestMisbehaveZeroIsClassZero(t *testing.T) {
 	}
 	if title := runQoS("-1")["title"].(string); !strings.Contains(title, "all honest") {
 		t.Errorf("-misbehave -1 title = %q, want all honest", title)
+	}
+}
+
+// TestProfileFlags writes both profiles for a small run: each file must be
+// a gzip-compressed pprof profile, and stdout must match a run without them.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	args := []string{"-exp", "table3", "-tasks", "48", "-smms", "4"}
+	var plain, profiled, errw strings.Builder
+	if code := run(&plain, &errw, args); code != 0 {
+		t.Fatalf("run = %d, stderr %q", code, errw.String())
+	}
+	if code := run(&profiled, &errw, append(args, "-cpuprofile", cpu, "-memprofile", mem)); code != 0 {
+		t.Fatalf("run with profiles = %d, stderr %q", code, errw.String())
+	}
+	if plain.String() != profiled.String() {
+		t.Error("profiling changed the report")
+	}
+	for _, path := range []string{cpu, mem} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Errorf("%s: not a gzip-compressed pprof profile (%d bytes)", path, len(b))
+		}
+	}
+}
+
+// TestProfileFlagsRejectUnwritablePath: a profile path that cannot be
+// created exits 2 before any experiment runs and names the flag.
+func TestProfileFlagsRejectUnwritablePath(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "missing", "p.pprof")
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		var out, errw strings.Builder
+		code := run(&out, &errw, []string{"-exp", "table3", "-tasks", "48", flag, bad})
+		if code != 2 {
+			t.Errorf("%s %s: exit %d, want 2", flag, bad, code)
+		}
+		if !strings.Contains(errw.String(), flag) {
+			t.Errorf("%s: stderr %q does not name the flag", flag, errw.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: experiments ran despite the bad path:\n%s", flag, out.String())
+		}
 	}
 }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt lint test vet race race-harness perf perf-quick perf-update digests loc bench-engine bench-serve bench-cluster
+.PHONY: check fmt lint test vet race race-harness perf perf-quick perf-update digests experiments loc bench-engine bench-serve bench-cluster
 
 # check is the pre-merge gate, in order: gofmt, the determinism analyzers
 # (pagodavet), go vet, the full test suite, race detection across the
@@ -76,6 +76,14 @@ digests:
 		case "$$out" in *'"failed":0,'*) echo "digests: $$w ok" ;; \
 		*) echo "digests: $$w failed its checks: $$out"; exit 1 ;; esac; \
 	done
+
+# experiments regenerates every experiment (pagodabench -exp all at default
+# flags) and fails unless each result block matches EXPERIMENTS.md, trailing
+# spaces aside (scripts/check-experiments.sh). It is the full-scale check
+# that no published number moved. It takes minutes, so CI runs it but
+# `make check` does not.
+experiments:
+	GO=$(GO) bash scripts/check-experiments.sh
 
 # loc prints the Go line counts ROADMAP tracks: non-test and test lines,
 # leaving out the benchmark driver (simbench/) and its build directory.

@@ -23,6 +23,13 @@ import (
 
 // DeviceCtx is the device-side API a task kernel needs. core.TaskCtx
 // satisfies it directly; the baseline executors provide adapters.
+//
+// Every executor runs kernels with their cost ops deferred to the next
+// SyncBlock or the kernel's return (gpu.Ctx.RunTask), so a kernel's Go code
+// between barriers runs ahead of its simulated time. Kernels therefore keep
+// the CUDA rule: between barriers, touch only this warp's lanes and data
+// the block shares through barriers, never what another warp writes in the
+// same segment.
 type DeviceCtx interface {
 	// Geometry.
 	Threads() int     // threads per threadblock
